@@ -1,21 +1,21 @@
 // Experiment X6: low-rank vs RHT trimmable compression (paper §5.2).
 //
 // The paper asks which compression family suits just-in-time trimming. We
-// compare the rank-ordered trimmable low-rank codec against 1-bit RHT on
-// two gradient populations at matched surviving-byte budgets:
+// compare the rank-ordered trimmable low-rank codec (Scheme::kLowRank:
+// rank 8, the top two components in each packet's head) against 1-bit RHT
+// on two gradient populations at matched surviving-byte budgets, trimming
+// whole packets one at a time:
 //   (a) structured gradients (planted low-rank + small noise — the regime
 //       PowerSGD exploits in real layers), and
 //   (b) unstructured full-rank gaussian noise.
-// Expectation: low-rank dominates on (a) — even its fully-trimmed rank-1
+// Expectation: low-rank dominates on (a) — even its fully-trimmed rank-2
 // form retains the signal — while on (b) its best case is bounded by the
 // discarded spectrum and RHT wins.
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <vector>
 
 #include "core/codec.h"
-#include "core/lowrank.h"
 #include "core/prng.h"
 #include "core/stats.h"
 
@@ -52,29 +52,11 @@ std::vector<float> noise_matrix(std::size_t rows, std::size_t cols,
   return m;
 }
 
-double lowrank_nmse_at_budget(const std::vector<float>& m, std::size_t rows,
-                              std::size_t cols, double budget_frac) {
-  core::LowRankCodec codec({8, 2, 17, core::PacketLayout{}});
-  auto enc = codec.encode(m, rows, cols, 1);
-  std::size_t total = 0;
-  for (const auto& p : enc.packets) total += p.wire_bytes();
-  const auto budget = static_cast<std::size_t>(
-      budget_frac * static_cast<double>(m.size() * 4));
-  // Uniformly reduce per-packet rank depth until the budget is met.
-  for (std::uint16_t keep = 8; keep >= 1 && total > budget; --keep) {
-    total = 0;
-    for (auto& p : enc.packets) {
-      p.trim_to_rank(keep);
-      total += p.wire_bytes();
-    }
-  }
-  return core::nmse(codec.decode(enc.packets, enc.meta), m);
-}
-
-double rht_nmse_at_budget(const std::vector<float>& m, double budget_frac) {
-  core::CodecConfig cfg;
-  cfg.scheme = core::Scheme::kRHT;
-  cfg.rht_row_len = std::size_t{1} << 12;
+/// Encode `m` with `cfg`, then trim packets one at a time until the packet
+/// bytes fit `budget_frac` of the raw float32 size (or every packet is
+/// trimmed), and return the decode NMSE.
+double nmse_at_budget(const core::CodecConfig& cfg, const std::vector<float>& m,
+                      double budget_frac) {
   core::TrimmableEncoder enc(cfg);
   core::TrimmableDecoder dec(cfg);
   auto msg = enc.encode(m, 1, 1);
@@ -89,6 +71,22 @@ double rht_nmse_at_budget(const std::vector<float>& m, double budget_frac) {
     total -= before - p.wire_bytes();
   }
   return core::nmse(dec.decode(msg.packets, msg.meta).values, m);
+}
+
+double lowrank_nmse_at_budget(const std::vector<float>& m, std::size_t cols,
+                              double budget_frac) {
+  core::CodecConfig cfg;
+  cfg.scheme = core::Scheme::kLowRank;
+  cfg.lowrank_rank = 8;
+  cfg.lowrank_cols = cols;
+  return nmse_at_budget(cfg, m, budget_frac);
+}
+
+double rht_nmse_at_budget(const std::vector<float>& m, double budget_frac) {
+  core::CodecConfig cfg;
+  cfg.scheme = core::Scheme::kRHT;
+  cfg.rht_row_len = std::size_t{1} << 12;
+  return nmse_at_budget(cfg, m, budget_frac);
 }
 
 }  // namespace
@@ -107,9 +105,9 @@ int main() {
 
   for (double budget : {1.0, 0.5, 0.25, 0.1, 0.05, 0.02}) {
     std::printf("%8.0f%% | %14.4f %11.4f | %14.4f %11.4f\n", budget * 100,
-                lowrank_nmse_at_budget(structured, rows, cols, budget),
+                lowrank_nmse_at_budget(structured, cols, budget),
                 rht_nmse_at_budget(structured, budget),
-                lowrank_nmse_at_budget(unstructured, rows, cols, budget),
+                lowrank_nmse_at_budget(unstructured, cols, budget),
                 rht_nmse_at_budget(unstructured, budget));
     std::fflush(stdout);
   }

@@ -1,11 +1,10 @@
-// Parallel-scaling microbench for the threaded hot paths (see ISSUE 2 /
-// DESIGN.md threading model): row-parallel RHT encode+decode, the blocked
-// GEMM kernels, message-level EDEN, and one DDP trainer round, each timed
-// at pool sizes 1/2/4/8 against the single-thread baseline. Per-kernel
-// sections (fwht, quantize, bitpack, crc32c) time the single-thread SIMD
-// primitives those paths are built from — flat across thread counts by
-// construction, but sensitive to the active ISA (reported in the JSON as
-// "isa").
+// Parallel-scaling microbench for the threaded hot paths (see the DESIGN.md
+// threading model): row-parallel RHT encode+decode, the blocked GEMM
+// kernels, and one DDP trainer round, each timed at pool sizes 1/2/4/8
+// against the single-thread baseline. Per-kernel sections (fwht, quantize,
+// bitpack, crc32c) time the single-thread SIMD primitives those paths are
+// built from — flat across thread counts by construction, but sensitive to
+// the active ISA (reported in the JSON as "isa").
 //
 // Emits a human-readable table on stdout and machine-readable
 // BENCH_parallel.json in the working directory. Also cross-checks that the
@@ -28,7 +27,6 @@
 #include "collective/inject_channel.h"
 #include "core/bitpack.h"
 #include "core/codec.h"
-#include "core/eden.h"
 #include "core/hadamard.h"
 #include "core/prng.h"
 #include "core/simd.h"
@@ -127,7 +125,6 @@ int main() {
   tcfg.codec.rht_row_len = std::size_t{1} << 12;
 
   Section s_codec{"rht_encode_decode", {}, {}, grad.size()};
-  Section s_eden{"eden_encode_decode", {}, {}, grad.size()};
   Section s_gemm{"gemm", {}, {}, static_cast<std::uint64_t>(M) * K * N};
   Section s_trainer{"trainer_round", {}, {},
                     static_cast<std::uint64_t>(dcfg.classes) *
@@ -167,15 +164,6 @@ int main() {
     s_codec.hashes.push_back(fnv(1469598103934665603ULL,
                                  codec_out.values.data(),
                                  codec_out.values.size()));
-
-    // EDEN 4-bit message round trip.
-    std::vector<float> eden_out;
-    s_eden.seconds.push_back(time_best_of(reps, [&] {
-      auto msg = core::eden_encode_message(grad, 1, 1, 1, 4);
-      eden_out = core::eden_decode_message(msg, 1, 1, 1);
-    }));
-    s_eden.hashes.push_back(
-        fnv(1469598103934665603ULL, eden_out.data(), eden_out.size()));
 
     // GEMM (forward-shaped kernel).
     s_gemm.seconds.push_back(time_best_of(reps, [&] {
@@ -256,9 +244,9 @@ int main() {
   }
   ThreadPool::set_global_threads(1);
 
-  const std::vector<Section*> sections = {&s_codec,   &s_eden, &s_gemm,
-                                          &s_trainer, &s_fwht, &s_quant,
-                                          &s_bitpack, &s_crc};
+  const std::vector<Section*> sections = {&s_codec, &s_gemm,    &s_trainer,
+                                          &s_fwht,  &s_quant,   &s_bitpack,
+                                          &s_crc};
   bool deterministic = true;
   std::printf("# Parallel scaling (best-of-N wall time; speedup vs 1 thread)\n");
   std::printf("# hardware threads available: %u\n",

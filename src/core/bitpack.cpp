@@ -32,8 +32,8 @@ void BitWriter::put(std::uint64_t value, unsigned width) {
   // Bulk fast path: a byte-aligned write of a whole number of bytes stores
   // them in one shot — top-align the value so a byte swap yields the
   // MSB-first byte order, then memcpy the leading width/8 bytes. This covers
-  // the head/tail packetization hot cases (32-bit baseline floats, 24-bit
-  // multilevel low regions, 8/16-bit tails).
+  // the head/tail packetization hot cases (32-bit baseline and low-rank
+  // floats, 8/16-bit tails).
   if (bit_count_ % 8 == 0 && width % 8 == 0) {
     const unsigned nbytes = width / 8;
     const std::size_t at = buf_.size();

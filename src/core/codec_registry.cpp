@@ -8,26 +8,21 @@ namespace trimgrad::core {
 const CodecRegistry& CodecRegistry::global() {
   static const CodecRegistry* reg = [] {
     auto* r = new CodecRegistry();
-    r->add({"baseline", Scheme::kBaseline, true,
+    r->add({"baseline", Scheme::kBaseline,
             "uncompressed float32 packets (the reliable-transport baseline)"});
-    r->add({"sign", Scheme::kSign, true,
+    r->add({"sign", Scheme::kSign,
             "1-bit sign with per-packet scale (signSGD-style)"});
-    r->add({"sq", Scheme::kSQ, true,
-            "stochastic b-bit uniform quantization"});
-    r->add({"sd", Scheme::kSD, true,
+    r->add({"sq", Scheme::kSQ, "stochastic b-bit uniform quantization"});
+    r->add({"sd", Scheme::kSD,
             "stochastic dithering with shared-seed reconstruction"});
-    r->add({"rht", Scheme::kRHT, true,
+    r->add({"rht", Scheme::kRHT,
             "randomized Hadamard transform + 1-bit heads (the paper's codec)"});
-    r->add({"sparsify", Scheme::kTopK, true,
+    r->add({"sparsify", Scheme::kTopK,
             "ahead-of-time top-k sparsify, then SD heads/tails (MLT-style)"});
-    r->add({"magnitude", Scheme::kMagnitude, true,
+    r->add({"magnitude", Scheme::kMagnitude,
             "magnitude-ordered placement + SD (the paper's §2 strawman)"});
-    r->add({"lowrank", Scheme::kLowRank, true,
+    r->add({"lowrank", Scheme::kLowRank,
             "PowerSGD factors in a rank-ordered trimmable layout"});
-    r->add({"eden", Scheme::kBaseline, false,
-            "EDEN b-bit rotated quantization (core/eden.h; no packet train)"});
-    r->add({"multilevel", Scheme::kBaseline, false,
-            "multi-level trim codec (core/multilevel.h; no packet train)"});
     return r;
   }();
   return *reg;
@@ -57,9 +52,9 @@ std::vector<std::string> CodecRegistry::names() const {
 
 const std::string& CodecRegistry::name_of(Scheme scheme) const {
   for (const auto& c : codecs_) {
-    if (c.packet_train && c.scheme == scheme) return c.name;
+    if (c.scheme == scheme) return c.name;
   }
-  throw std::invalid_argument("scheme has no registered packet-train codec");
+  throw std::invalid_argument("scheme has no registered codec");
 }
 
 void CodecRegistry::add(CodecInfo info) {

@@ -1,12 +1,8 @@
 // String-keyed codec registry: compression schemes selected by name.
 //
-// The packet-train codecs ("baseline", "sign", "sq", "sd", "rht") map onto
-// core::Scheme and ride the wire format in core/packet.h — these are what
-// ddp::Trainer and the sweep grids can put on the fabric. "eden" and
-// "multilevel" are standalone codecs (core/eden.h, core/multilevel.h) that
-// do not emit packet trains; they register for discoverability and for
-// micro-benches, and `packet_train == false` tells consumers that a
-// training run cannot select them.
+// Every registered codec maps onto a core::Scheme and rides the trimmable
+// packet train in core/packet.h, so ddp::Trainer, the sweep grids and every
+// CompressionPolicy can put any of them on the fabric.
 //
 // Mirrors net::TransportRegistry so an ExperimentSpec can validate both of
 // its names against one mechanism and error with the registered lists.
@@ -21,8 +17,7 @@ namespace trimgrad::core {
 
 struct CodecInfo {
   std::string name;
-  Scheme scheme = Scheme::kBaseline;  ///< meaningful iff packet_train
-  bool packet_train = false;  ///< encodes to GradientPacket trains
+  Scheme scheme = Scheme::kBaseline;
   const char* summary = "";
 };
 

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <numeric>
 
+#include "core/prng.h"
+
 namespace trimgrad::core {
 
 namespace {
@@ -130,74 +132,6 @@ LowRankFactors power_factorize(std::span<const float> m, std::size_t rows,
   f.p = std::move(p_sorted);
   f.q = std::move(q_sorted);
   return f;
-}
-
-void LowRankPacket::trim_to_rank(std::uint16_t keep) noexcept {
-  if (keep >= kept) return;
-  kept = keep;
-  values.resize(static_cast<std::size_t>(kept) * n_rows);
-  values.shrink_to_fit();
-}
-
-std::size_t LowRankCodec::rows_per_packet() const noexcept {
-  const std::size_t bytes_per_row = cfg_.rank * sizeof(float);
-  const std::size_t n = cfg_.layout.payload_bytes() / bytes_per_row;
-  return n > 0 ? n : 1;
-}
-
-LowRankEncoded LowRankCodec::encode(std::span<const float> m,
-                                    std::size_t rows, std::size_t cols,
-                                    std::uint32_t msg_id) const {
-  const LowRankFactors f =
-      power_factorize(m, rows, cols, cfg_.rank, cfg_.power_iters, cfg_.seed);
-  LowRankEncoded out;
-  out.meta.msg_id = msg_id;
-  out.meta.rows = static_cast<std::uint32_t>(rows);
-  out.meta.cols = static_cast<std::uint32_t>(cols);
-  out.meta.rank = static_cast<std::uint16_t>(f.rank);
-  out.meta.q = f.q;
-
-  const std::size_t per_pkt = rows_per_packet();
-  std::uint16_t seq = 0;
-  for (std::size_t base = 0; base < rows; base += per_pkt) {
-    const std::size_t n_rows = std::min(per_pkt, rows - base);
-    LowRankPacket pkt;
-    pkt.msg_id = msg_id;
-    pkt.row_base = static_cast<std::uint32_t>(base);
-    pkt.n_rows = static_cast<std::uint16_t>(n_rows);
-    pkt.rank = static_cast<std::uint16_t>(f.rank);
-    pkt.kept = pkt.rank;
-    pkt.seq = seq++;
-    // Component-major within the slice: trimming cuts whole trailing
-    // components — the least-important ranks — first.
-    pkt.values.reserve(f.rank * n_rows);
-    for (std::size_t k = 0; k < f.rank; ++k) {
-      const float* pk = f.p.data() + k * rows;
-      pkt.values.insert(pkt.values.end(), pk + base, pk + base + n_rows);
-    }
-    out.packets.push_back(std::move(pkt));
-  }
-  return out;
-}
-
-std::vector<float> LowRankCodec::decode(std::span<const LowRankPacket> packets,
-                                        const LowRankMeta& meta) const {
-  const std::size_t rows = meta.rows;
-  const std::size_t cols = meta.cols;
-  std::vector<float> m(rows * cols, 0.0f);
-  for (const auto& pkt : packets) {
-    for (std::size_t k = 0; k < pkt.kept; ++k) {
-      const float* qk = meta.q.data() + k * cols;
-      const float* slice = pkt.values.data() + k * pkt.n_rows;
-      for (std::size_t i = 0; i < pkt.n_rows; ++i) {
-        const std::size_t row = pkt.row_base + i;
-        if (row >= rows || slice[i] == 0.0f) continue;
-        float* mrow = m.data() + row * cols;
-        for (std::size_t j = 0; j < cols; ++j) mrow[j] += slice[i] * qk[j];
-      }
-    }
-  }
-  return m;
 }
 
 }  // namespace trimgrad::core

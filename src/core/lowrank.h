@@ -1,4 +1,4 @@
-// Low-rank gradient compression with a rank-ordered trimmable layout
+// Low-rank gradient factorization for the rank-ordered trimmable layout
 // (paper §5.2 + §5.3's open question, built out).
 //
 // PowerSGD-style factorization: a layer's gradient matrix M (n×m) is
@@ -7,28 +7,22 @@
 // ranks in the packet payload, such that trimming arbitrary packets always
 // affects only the ranks with the least importance (smallest eigenvalue)".
 //
-// Our layout delivers exactly that property:
+// TrimmableEncoder's Scheme::kLowRank arm (core/codec.h) delivers exactly
+// that property on top of these factors:
 //  * components (columns of P/Q) are sorted by importance (‖p_k‖, the
 //    singular-value proxy);
 //  * the small Q factor rides the reliable metadata channel (like the
 //    codec's scales);
-//  * P is sliced row-wise across packets, and *within every packet* the
-//    slice stores component 0's values first, then component 1's, ... so a
-//    switch trim cuts the least-important components of that slice — any
-//    subset of packets can be trimmed to any depth and the damage is always
+//  * P is sliced row-wise across GradientPackets; within every packet the
+//    most important components form the head region and the rest the tail,
+//    so a switch trim cuts only the least-important components of that
+//    slice — any subset of packets can be trimmed and the damage is always
 //    confined to the smallest-singular-value ranks.
-//
-// Per-packet trim points at component granularity give r effective trim
-// levels per packet (§5.1 multi-level trimming, realized through rank
-// structure instead of bit depth).
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
-
-#include "core/packet.h"
-#include "core/prng.h"
 
 namespace trimgrad::core {
 
@@ -50,68 +44,5 @@ struct LowRankFactors {
 LowRankFactors power_factorize(std::span<const float> m, std::size_t rows,
                                std::size_t cols, std::size_t rank,
                                unsigned iters, std::uint64_t seed);
-
-/// One trimmable low-rank packet: a row-slice of P, components in
-/// importance order. Trimming keeps the first `kept_components`.
-struct LowRankPacket {
-  std::uint32_t msg_id = 0;
-  std::uint32_t row_base = 0;    ///< first P row carried
-  std::uint16_t n_rows = 0;      ///< rows in this slice
-  std::uint16_t rank = 0;        ///< components encoded at full depth
-  std::uint16_t kept = 0;        ///< components surviving (== rank if untrimmed)
-  std::uint16_t seq = 0;
-  std::vector<float> values;     ///< kept*n_rows floats, component-major
-
-  std::size_t wire_bytes() const noexcept {
-    return kTransportHeaderBytes + values.size() * sizeof(float);
-  }
-  /// Trim to the given component depth (monotone).
-  void trim_to_rank(std::uint16_t keep) noexcept;
-};
-
-/// Reliable metadata: the Q factor + importance ordering.
-struct LowRankMeta {
-  std::uint32_t msg_id = 0;
-  std::uint32_t rows = 0, cols = 0;
-  std::uint16_t rank = 0;
-  std::vector<float> q;  ///< m×r column-major
-
-  std::size_t wire_bytes() const noexcept {
-    return kTransportHeaderBytes + 12 + q.size() * sizeof(float);
-  }
-};
-
-struct LowRankEncoded {
-  std::vector<LowRankPacket> packets;
-  LowRankMeta meta;
-};
-
-class LowRankCodec {
- public:
-  struct Config {
-    std::size_t rank = 4;
-    unsigned power_iters = 2;
-    std::uint64_t seed = 17;
-    PacketLayout layout{};  ///< mtu/header only
-  };
-
-  explicit LowRankCodec(Config cfg) : cfg_(cfg) {}
-
-  LowRankEncoded encode(std::span<const float> m, std::size_t rows,
-                        std::size_t cols, std::uint32_t msg_id) const;
-
-  /// Decode from surviving packets (any per-packet trim depth). Rows not
-  /// covered by any packet reconstruct as zero.
-  std::vector<float> decode(std::span<const LowRankPacket> packets,
-                            const LowRankMeta& meta) const;
-
-  /// P rows per packet for the configured MTU and rank.
-  std::size_t rows_per_packet() const noexcept;
-
-  const Config& config() const noexcept { return cfg_; }
-
- private:
-  Config cfg_;
-};
 
 }  // namespace trimgrad::core

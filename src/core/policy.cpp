@@ -39,16 +39,6 @@ struct ByteReader {
   double f64() { return std::bit_cast<double>(u64()); }
 };
 
-/// Validate that `name` is a registered packet-train codec (training runs
-/// cannot select "eden"/"multilevel"); throws listing registered names.
-void require_packet_train(const std::string& name) {
-  const CodecInfo& info = CodecRegistry::global().at(name);
-  if (!info.packet_train) {
-    throw std::invalid_argument("policy codec '" + name +
-                                "' does not encode packet trains");
-  }
-}
-
 unsigned clamp_q(unsigned q) noexcept {
   return std::clamp(q, 1u, 31u);
 }
@@ -59,7 +49,7 @@ class FixedPolicy final : public CompressionPolicy {
  public:
   explicit FixedPolicy(const PolicyConfig& cfg)
       : decision_{cfg.codec, clamp_q(cfg.q_bits)} {
-    require_packet_train(decision_.codec);
+    CodecRegistry::global().at(decision_.codec);
   }
 
   const char* name() const noexcept override { return "fixed"; }
@@ -86,7 +76,7 @@ class AimdTrimPolicy final : public CompressionPolicy {
  public:
   explicit AimdTrimPolicy(const PolicyConfig& cfg)
       : codec_(cfg.codec), controller_(cfg.aimd) {
-    require_packet_train(codec_);
+    CodecRegistry::global().at(codec_);
   }
 
   const char* name() const noexcept override { return "aimd-trim"; }
@@ -128,7 +118,7 @@ class SchedulePolicy final : public CompressionPolicy {
  public:
   explicit SchedulePolicy(const PolicyConfig& cfg)
       : base_{cfg.codec, clamp_q(cfg.q_bits)} {
-    require_packet_train(base_.codec);
+    CodecRegistry::global().at(base_.codec);
     parse_script(cfg.schedule);
   }
 
@@ -183,7 +173,7 @@ class SchedulePolicy final : public CompressionPolicy {
       if (end == q_s.c_str() || *end != '\0' || q < 1 || q > 31)
         bad_entry(entry);
       e.decision.q_bits = static_cast<unsigned>(q);
-      require_packet_train(e.decision.codec);
+      CodecRegistry::global().at(e.decision.codec);
       entries_.push_back(std::move(e));
     }
     std::stable_sort(entries_.begin(), entries_.end(),

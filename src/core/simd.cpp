@@ -1,8 +1,6 @@
 #include "core/simd.h"
 
-#include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -112,16 +110,6 @@ void encode_sd_scalar(const float* v, const float* dither, std::size_t n,
     heads[i] = v[i] + dither[i] >= 0.0f ? 1 : 0;
     const std::uint32_t b = f2b(v[i]);
     tails[i] = ((b >> 31) << 30) | ((b & kMagMask) >> 1);
-  }
-}
-
-void eden_quantize_scalar(const float* r, std::size_t n, double rms,
-                          const float* boundaries, std::size_t nb,
-                          std::uint32_t* codes) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    const float x = static_cast<float>(static_cast<double>(r[i]) / rms);
-    codes[i] = static_cast<std::uint32_t>(
-        std::upper_bound(boundaries, boundaries + nb, x) - boundaries);
   }
 }
 
@@ -254,36 +242,6 @@ TG_AVX2 void encode_sd_avx2(const float* v, const float* dither,
                         _mm256_or_si256(sgn, em));
   }
   if (i < n) encode_sd_scalar(v + i, dither + i, n - i, heads + i, tails + i);
-}
-
-TG_AVX2 void eden_quantize_avx2(const float* r, std::size_t n, double rms,
-                                const float* boundaries, std::size_t nb,
-                                std::uint32_t* codes) noexcept {
-  // Normalization replicates the scalar encoder exactly: promote to double,
-  // divide, round back to float, then count boundaries <= x (== the
-  // upper_bound index over an ascending array).
-  const __m256d vrms = _mm256_set1_pd(rms);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 v = _mm256_loadu_ps(r + i);
-    const __m128 lo = _mm256_castps256_ps128(v);
-    const __m128 hi = _mm256_extractf128_ps(v, 1);
-    const __m128 flo =
-        _mm256_cvtpd_ps(_mm256_div_pd(_mm256_cvtps_pd(lo), vrms));
-    const __m128 fhi =
-        _mm256_cvtpd_ps(_mm256_div_pd(_mm256_cvtps_pd(hi), vrms));
-    const __m256 x =
-        _mm256_insertf128_ps(_mm256_castps128_ps256(flo), fhi, 1);
-    __m256i code = _mm256_setzero_si256();
-    for (std::size_t j = 0; j < nb; ++j) {
-      const __m256 b = _mm256_set1_ps(boundaries[j]);
-      code = _mm256_sub_epi32(
-          code, _mm256_castps_si256(_mm256_cmp_ps(x, b, _CMP_GE_OQ)));
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(codes + i), code);
-  }
-  if (i < n)
-    eden_quantize_scalar(r + i, n - i, rms, boundaries, nb, codes + i);
 }
 
 bool cpu_has_avx2() noexcept { return __builtin_cpu_supports("avx2"); }
@@ -471,19 +429,6 @@ void encode_sd(const float* v, const float* dither, std::size_t n,
     return encode_sd_avx2(v, dither, n, heads, tails);
 #endif
   encode_sd_scalar(v, dither, n, heads, tails);
-}
-
-void eden_quantize(const float* r, std::size_t n, double rms,
-                   const float* boundaries, std::size_t n_boundaries,
-                   std::uint32_t* codes) noexcept {
-  assert(rms > 0.0);
-#if TRIMGRAD_SIMD_X86
-  // The compare-count form is linear in the boundary count; past ~32
-  // thresholds the scalar binary search wins.
-  if (active_isa() == Isa::kAvx2 && n_boundaries <= 32)
-    return eden_quantize_avx2(r, n, rms, boundaries, n_boundaries, codes);
-#endif
-  eden_quantize_scalar(r, n, rms, boundaries, n_boundaries, codes);
 }
 
 }  // namespace trimgrad::core::simd

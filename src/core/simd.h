@@ -1,7 +1,7 @@
 // SIMD kernel dispatch for the codec hot paths.
 //
 // Every inner loop that moves a gradient coordinate — FWHT butterflies,
-// sign/magnitude splits, EDEN codebook quantization — funnels through this
+// sign/magnitude splits, scalar-scheme bulk encodes — funnels through this
 // header so there is exactly one place where instruction sets are chosen.
 // Three implementations exist per kernel:
 //
@@ -25,9 +25,8 @@
 // reassociated reduction). Vector and scalar paths therefore produce
 // bit-identical results, which is what lets SIMD-vs-scalar builds (and any
 // TRIMGRAD_THREADS) decode each other's packets exactly. Reductions with
-// order-sensitive rounding (row norms, EDEN's ⟨R,C⟩) deliberately stay
-// scalar in their callers. tests/core/simd_test.cpp enforces the contract
-// kernel by kernel.
+// order-sensitive rounding (row norms) deliberately stay scalar in their
+// callers. tests/core/simd_test.cpp enforces the contract kernel by kernel.
 #pragma once
 
 #include <cstddef>
@@ -78,15 +77,5 @@ void join_sign_mag(const std::uint8_t* heads, const std::uint32_t* tails,
 /// tails[i] = sign(1) | exponent(8) | mantissa[22..1] of v[i] (31 bits).
 void encode_sd(const float* v, const float* dither, std::size_t n,
                std::uint8_t* heads, std::uint32_t* tails) noexcept;
-
-// ---- EDEN codebook quantization ------------------------------------------
-
-/// codes[i] = #{ j : boundaries[j] <= float(double(r[i]) / rms) } — exactly
-/// the scalar upper_bound search over the codebook thresholds, with the
-/// normalization performed in double precision like the scalar encoder.
-/// boundaries must be ascending; rms must be > 0 and finite.
-void eden_quantize(const float* r, std::size_t n, double rms,
-                   const float* boundaries, std::size_t n_boundaries,
-                   std::uint32_t* codes) noexcept;
 
 }  // namespace trimgrad::core::simd

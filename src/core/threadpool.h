@@ -7,7 +7,7 @@
 // scheduling — and callers arrange the work so every output slot is written
 // by exactly one chunk with a fixed intra-chunk order. Under that
 // discipline the results are bit-identical for any thread count, which is
-// what lets the RHT/multilevel codecs (whose rows are keyed independently by
+// what lets the RHT codec (whose rows are keyed independently by
 // `StreamKey`) and the GEMM kernels (one output row per chunk) parallelize
 // without changing a single numeric result. Tests enforce the contract for
 // pool sizes 1, 2, and 8.

@@ -24,7 +24,7 @@ struct TrimEvent {
   std::uint64_t epoch = 0;
   std::uint32_t msg_id = 0;
   std::uint16_t seq = 0;      ///< packet sequence within the message
-  std::uint8_t level = 1;     ///< 1 = tail trimmed; multi-level codes 1/2
+  std::uint8_t level = 1;     ///< 1 = tail trimmed; 0xff = dropped
 
   friend bool operator==(const TrimEvent&, const TrimEvent&) = default;
 };

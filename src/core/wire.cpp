@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <vector>
 
 #include "core/simd.h"
 
@@ -144,6 +145,18 @@ bool cpu_has_crc32() noexcept {
 }
 
 #endif  // TRIMGRAD_WIRE_X86
+
+/// True when `perm` holds every index of [0, n) exactly once.
+bool is_permutation_of_iota(const std::vector<std::uint32_t>& perm,
+                            std::size_t n) {
+  if (perm.size() != n) return false;
+  std::vector<bool> seen(n, false);
+  for (const std::uint32_t v : perm) {
+    if (v >= n || seen[v]) return false;
+    seen[v] = true;
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -383,6 +396,13 @@ std::optional<MessageMeta> parse_meta(std::span<const std::uint8_t> data) {
   meta.lr_q.reserve(n_q);
   for (std::uint32_t i = 0; i < n_q; ++i) meta.lr_q.push_back(c.f32());
   if (c.remaining() != 0) return std::nullopt;
+  // A CRC only proves the sender wrote these bytes, not that the decoder
+  // can use them: reject the fields it would trust blindly.
+  if (meta.scheme == Scheme::kRHT && !std::has_single_bit(meta.row_len))
+    return std::nullopt;
+  if (!meta.perm.empty() &&
+      !is_permutation_of_iota(meta.perm, meta.total_coords))
+    return std::nullopt;
   return meta;
 }
 

@@ -239,29 +239,17 @@ void ExperimentSpec::validate() const {
         "ExperimentSpec: policy_target must be in (0, 1)");
   }
   // Fail fast on unregistered policy names (the error lists what is
-  // registered) and on schedule scripts naming unregistered codecs. The
-  // policy is only constructible over a packet-train base codec; specs
-  // naming a micro-bench codec (eden/multilevel) stay parseable here and
-  // are rejected by trainer_config() when someone tries to train with one.
-  core::PolicyRegistry::global().at(policy);
-  if (core::CodecRegistry::global().at(scheme).packet_train) {
-    core::PolicyRegistry::global().make(policy_config());
-  }
+  // registered) and on schedule scripts naming unregistered codecs.
+  core::PolicyRegistry::global().make(policy_config());
 }
 
 TrainerConfig ExperimentSpec::trainer_config() const {
-  const core::CodecInfo& codec = core::CodecRegistry::global().at(scheme);
-  if (!codec.packet_train) {
-    throw std::invalid_argument(
-        "ExperimentSpec: codec '" + scheme +
-        "' does not encode packet trains and cannot drive training");
-  }
   TrainerConfig cfg;
   cfg.world = world;
   cfg.global_batch = batch;
   cfg.epochs = epochs;
   cfg.sgd.lr = static_cast<float>(lr);
-  cfg.codec.scheme = codec.scheme;
+  cfg.codec.scheme = core::CodecRegistry::global().at(scheme).scheme;
   cfg.fault_seed = fault_seed;
   cfg.policy = policy_config();
   return cfg;

@@ -109,9 +109,7 @@ struct ExperimentSpec {
   std::string faults_path() const;
 
   /// Project onto TrainerConfig (world/batch/epochs/lr/scheme/fault_seed;
-  /// codec details beyond the scheme keep TrainerConfig defaults). Throws
-  /// if the named codec does not encode packet trains ("eden",
-  /// "multilevel" register for micro-benches only).
+  /// codec details beyond the scheme keep TrainerConfig defaults).
   TrainerConfig trainer_config() const;
 
   /// topology == "inject": the analytic channel. Reliable-baseline

@@ -69,8 +69,8 @@ struct NodeFault {
   bool active_at(SimTime now) const noexcept;
 };
 
-/// Per-port corruption-rate override (takes precedence over the global
-/// rate for frames leaving this port).
+/// Per-port corruption-rate override (wins over the global rate for
+/// frames leaving this port).
 struct CorruptRule {
   NodeId node = kInvalidNode;
   std::size_t port = 0;

@@ -34,33 +34,6 @@ InjectionStats TrimInjector::apply(std::vector<core::GradientPacket>& packets,
   return st;
 }
 
-InjectionStats TrimInjector::apply_multilevel(
-    std::vector<core::MlPacket>& packets, std::uint64_t epoch,
-    double mid_fraction, core::TrimTranscript* record) {
-  InjectionStats st;
-  st.packets = packets.size();
-  std::vector<core::MlPacket> kept;
-  kept.reserve(packets.size());
-  for (auto& pkt : packets) {
-    if (rng_.bernoulli(cfg_.drop_rate)) {
-      ++st.dropped;
-      if (record) record->record(epoch, pkt.msg_id, pkt.seq, kDropLevel);
-      continue;
-    }
-    if (rng_.bernoulli(cfg_.trim_rate)) {
-      const bool mild = rng_.bernoulli(mid_fraction);
-      pkt.trim_to(mild ? core::TrimLevel::kMid : core::TrimLevel::kHead);
-      ++st.trimmed;
-      if (record)
-        record->record(epoch, pkt.msg_id, pkt.seq,
-                       static_cast<std::uint8_t>(pkt.level));
-    }
-    kept.push_back(std::move(pkt));
-  }
-  packets = std::move(kept);
-  return st;
-}
-
 InjectionStats TrimInjector::replay(std::vector<core::GradientPacket>& packets,
                                     std::uint64_t epoch,
                                     const core::TrimTranscript& transcript) {

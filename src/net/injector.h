@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/codec.h"
-#include "core/multilevel.h"
 #include "core/prng.h"
 #include "core/transcript.h"
 
@@ -40,12 +39,6 @@ class TrimInjector {
   InjectionStats apply(std::vector<core::GradientPacket>& packets,
                        std::uint64_t epoch,
                        core::TrimTranscript* record = nullptr);
-
-  /// Multi-level variant: severe congestion trims to 1-bit heads, mild
-  /// congestion to 8-bit; `mid_fraction` of trims are mild.
-  InjectionStats apply_multilevel(std::vector<core::MlPacket>& packets,
-                                  std::uint64_t epoch, double mid_fraction,
-                                  core::TrimTranscript* record = nullptr);
 
   /// Reproduce a recorded run (§5.4): the coin flips are ignored and the
   /// transcript dictates exactly which packets are trimmed/dropped.

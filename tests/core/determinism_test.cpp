@@ -9,8 +9,6 @@
 #include <vector>
 
 #include "core/codec.h"
-#include "core/eden.h"
-#include "core/multilevel.h"
 #include "core/prng.h"
 #include "core/threadpool.h"
 
@@ -106,76 +104,6 @@ TEST(Determinism, RhtPacketSeqMatchesSequentialOrder) {
     EXPECT_EQ(msg.packets[i].seq, static_cast<std::uint16_t>(i));
     if (i > 0) {
       EXPECT_GE(msg.packets[i].row_id, msg.packets[i - 1].row_id);
-    }
-  }
-  ThreadPool::set_global_threads(1);
-}
-
-TEST(Determinism, MultilevelInvariantAcrossPoolSizes) {
-  const auto grad = test_gradient(60000);
-  MultilevelCodec::Config cfg;
-  cfg.row_len = std::size_t{1} << 12;
-
-  std::vector<std::uint8_t> ref_wire, ref_values;
-  for (const std::size_t threads : kPoolSizes) {
-    ThreadPool::set_global_threads(threads);
-    MultilevelCodec codec(cfg);
-    auto msg = codec.encode(grad, 5, 1);
-
-    std::vector<MlPacket> delivered;
-    for (std::size_t i = 0; i < msg.packets.size(); ++i) {
-      if (i % 11 == 0) continue;
-      if (i % 3 == 0) msg.packets[i].trim_to(TrimLevel::kMid);
-      if (i % 5 == 0) msg.packets[i].trim_to(TrimLevel::kHead);
-      delivered.push_back(msg.packets[i]);
-    }
-    std::vector<std::uint8_t> wire;
-    for (const auto& p : delivered) {
-      wire.push_back(static_cast<std::uint8_t>(p.level));
-      wire.insert(wire.end(), p.region_a.begin(), p.region_a.end());
-      wire.insert(wire.end(), p.region_b.begin(), p.region_b.end());
-      wire.insert(wire.end(), p.region_c.begin(), p.region_c.end());
-    }
-    const auto values = float_image(codec.decode(delivered, msg.meta));
-
-    if (threads == kPoolSizes.front()) {
-      ref_wire = wire;
-      ref_values = values;
-    } else {
-      EXPECT_EQ(wire, ref_wire) << "wire bytes differ at " << threads;
-      EXPECT_EQ(values, ref_values) << "decoded floats differ at " << threads;
-    }
-  }
-  ThreadPool::set_global_threads(1);
-}
-
-TEST(Determinism, EdenMessageInvariantAcrossPoolSizes) {
-  const auto grad = test_gradient(70000);
-
-  std::vector<std::vector<std::uint32_t>> ref_codes;
-  std::vector<float> ref_scales;
-  std::vector<std::uint8_t> ref_values;
-  for (const std::size_t threads : kPoolSizes) {
-    ThreadPool::set_global_threads(threads);
-    const auto msg =
-        eden_encode_message(grad, /*seed=*/9, /*epoch=*/1, /*msg_id=*/2,
-                            /*bits=*/4, /*row_len=*/std::size_t{1} << 12);
-    std::vector<std::vector<std::uint32_t>> codes;
-    std::vector<float> scales;
-    for (const auto& r : msg.rows) {
-      codes.push_back(r.codes);
-      scales.push_back(r.scale);
-    }
-    const auto values = float_image(eden_decode_message(msg, 9, 1, 2));
-
-    if (threads == kPoolSizes.front()) {
-      ref_codes = codes;
-      ref_scales = scales;
-      ref_values = values;
-    } else {
-      EXPECT_EQ(codes, ref_codes) << "codes differ at " << threads;
-      EXPECT_EQ(scales, ref_scales) << "scales differ at " << threads;
-      EXPECT_EQ(values, ref_values) << "decoded floats differ at " << threads;
     }
   }
   ThreadPool::set_global_threads(1);

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
+#include "core/codec.h"
 #include "core/prng.h"
 #include "core/stats.h"
 
@@ -99,121 +101,115 @@ TEST(PowerFactorize, DeterministicInSeed) {
   EXPECT_EQ(a.q, b.q);
 }
 
-// ---- trimmable codec ----
+// ---- packet-train layout (Scheme::kLowRank) ----
 
-LowRankCodec::Config codec_cfg(std::size_t rank) {
-  LowRankCodec::Config cfg;
-  cfg.rank = rank;
-  cfg.power_iters = 3;
+CodecConfig lowrank_cfg(std::size_t rank, std::size_t cols) {
+  CodecConfig cfg;
+  cfg.scheme = Scheme::kLowRank;
+  cfg.lowrank_rank = rank;
+  cfg.lowrank_iters = 3;
+  cfg.lowrank_cols = cols;
   return cfg;
 }
 
-TEST(LowRankCodecTest, UntrimmedDecodeMatchesFactorization) {
-  const std::size_t rows = 128, cols = 64;
-  const auto m = planted_matrix(rows, cols, 4, 0.0f, 7);
-  LowRankCodec codec(codec_cfg(4));
-  const auto enc = codec.encode(m, rows, cols, 1);
-  const auto dec = codec.decode(enc.packets, enc.meta);
-  EXPECT_LT(nmse(dec, m), 1e-5);
+/// The factorization TrimmableEncoder computes for message 1 of epoch 1.
+LowRankFactors encoder_factors(const CodecConfig& cfg,
+                               const std::vector<float>& m, std::size_t rows,
+                               std::size_t cols) {
+  return power_factorize(m, rows, cols, cfg.lowrank_rank, cfg.lowrank_iters,
+                         mix64(cfg.shared_seed, mix64(1, 1)));
 }
 
-TEST(LowRankCodecTest, PacketsCoverAllRowsOnce) {
+TEST(LowRankScheme, UntrimmedDecodeMatchesFactorization) {
+  const std::size_t rows = 128, cols = 64;
+  const auto m = planted_matrix(rows, cols, 4, 0.0f, 7);
+  const CodecConfig cfg = lowrank_cfg(4, cols);
+  TrimmableEncoder enc(cfg);
+  const auto msg = enc.encode(m, 1, 1);
+  const auto dec = TrimmableDecoder(cfg).decode(msg.packets, msg.meta);
+  EXPECT_LT(nmse(dec.values, m), 1e-5);
+  EXPECT_EQ(dec.stats.full_coords, m.size());
+}
+
+TEST(LowRankScheme, PacketsCoverAllRowsOnceWithinMtu) {
   const std::size_t rows = 500, cols = 32;
   const auto m = planted_matrix(rows, cols, 2, 0.1f, 8);
-  LowRankCodec codec(codec_cfg(4));
-  const auto enc = codec.encode(m, rows, cols, 1);
+  const CodecConfig cfg = lowrank_cfg(4, cols);
+  TrimmableEncoder enc(cfg);
+  const auto msg = enc.encode(m, 1, 1);
+  ASSERT_EQ(msg.meta.lr_rows, rows);
+  ASSERT_EQ(msg.meta.lr_cols, cols);
   std::vector<int> cover(rows, 0);
-  for (const auto& p : enc.packets) {
-    for (std::size_t i = 0; i < p.n_rows; ++i) ++cover[p.row_base + i];
-    EXPECT_LE(p.wire_bytes(), codec.config().layout.mtu_bytes + 64);
+  for (const auto& p : msg.packets) {
+    for (std::size_t i = 0; i < p.n_coords; ++i) ++cover[p.coord_base + i];
+    EXPECT_LE(p.wire_bytes(), cfg.layout.mtu_bytes);
   }
   for (int c : cover) EXPECT_EQ(c, 1);
 }
 
-TEST(LowRankCodecTest, TrimAffectsOnlyLeastImportantRanks) {
-  // The §5.3 desideratum: trim ANY subset of packets to depth k — the
-  // result must equal the rank-k reconstruction on those slices, i.e. the
-  // damage is confined to components k..r−1.
-  const std::size_t rows = 96, cols = 48;
+TEST(LowRankScheme, TrimAffectsOnlyLeastImportantRanks) {
+  // The §5.3 desideratum: trim ANY subset of packets — those slices must
+  // equal the reconstruction from the head components alone, i.e. the
+  // damage is confined to the least-important components.
+  const std::size_t rows = 384, cols = 48;
   const auto m = planted_matrix(rows, cols, 4, 0.0f, 9);
-  LowRankCodec codec(codec_cfg(4));
-
-  auto enc = codec.encode(m, rows, cols, 1);
-  // Trim alternating packets to rank 1.
-  for (std::size_t i = 0; i < enc.packets.size(); i += 2) {
-    enc.packets[i].trim_to_rank(1);
-  }
-  const auto dec = codec.decode(enc.packets, enc.meta);
-
-  const auto f = power_factorize(m, rows, cols, 4, 3, codec.config().seed);
-  const auto full = f.reconstruct(4);
-  const auto rank1 = f.reconstruct(1);
-  for (const auto& pkt : enc.packets) {
-    const auto& expect = pkt.kept == 1 ? rank1 : full;
-    for (std::size_t i = 0; i < pkt.n_rows; ++i) {
-      const std::size_t row = pkt.row_base + i;
-      for (std::size_t j = 0; j < cols; ++j) {
-        EXPECT_NEAR(dec[row * cols + j], expect[row * cols + j], 1e-4);
+  for (const std::size_t rank : {4u, 8u}) {
+    const std::size_t head_k = std::max<std::size_t>(1, rank / 4);
+    const CodecConfig cfg = lowrank_cfg(rank, cols);
+    const auto f = encoder_factors(cfg, m, rows, cols);
+    const auto full = f.reconstruct(rank);
+    const auto head = f.reconstruct(head_k);
+    for (const std::size_t stride : {1u, 2u, 3u}) {
+      TrimmableEncoder enc(cfg);
+      auto msg = enc.encode(m, 1, 1);
+      ASSERT_EQ(msg.meta.lr_head, head_k);
+      ASSERT_GT(msg.packets.size(), 3u);
+      for (std::size_t i = 0; i < msg.packets.size(); i += stride)
+        msg.packets[i].trim();
+      const auto dec = TrimmableDecoder(cfg).decode(msg.packets, msg.meta);
+      for (const auto& pkt : msg.packets) {
+        const auto& expect = pkt.trimmed ? head : full;
+        for (std::size_t i = 0; i < pkt.n_coords; ++i) {
+          const std::size_t row = pkt.coord_base + i;
+          for (std::size_t j = 0; j < cols; ++j) {
+            ASSERT_NEAR(dec.values[row * cols + j], expect[row * cols + j],
+                        1e-4)
+                << "rank " << rank << " stride " << stride << " row " << row;
+          }
+        }
       }
     }
   }
 }
 
-TEST(LowRankCodecTest, TrimDepthErrorIsMonotone) {
-  const std::size_t rows = 128, cols = 64;
-  const auto m = planted_matrix(rows, cols, 6, 0.02f, 10);
-  LowRankCodec codec(codec_cfg(6));
-  double prev = -1;
-  for (std::uint16_t keep : {6, 4, 2, 1}) {
-    auto enc = codec.encode(m, rows, cols, 1);
-    for (auto& p : enc.packets) p.trim_to_rank(keep);
-    const double e = nmse(codec.decode(enc.packets, enc.meta), m);
-    EXPECT_GT(e, prev) << keep;
-    prev = e;
-  }
-}
-
-TEST(LowRankCodecTest, TrimIsMonotoneOnPacket) {
-  const auto m = planted_matrix(64, 32, 3, 0.1f, 11);
-  LowRankCodec codec(codec_cfg(3));
-  auto enc = codec.encode(m, 64, 32, 1);
-  auto& pkt = enc.packets[0];
-  const auto bytes_full = pkt.wire_bytes();
-  pkt.trim_to_rank(1);
-  const auto bytes_r1 = pkt.wire_bytes();
-  EXPECT_LT(bytes_r1, bytes_full);
-  pkt.trim_to_rank(2);  // must not grow back
-  EXPECT_EQ(pkt.kept, 1);
-  EXPECT_EQ(pkt.wire_bytes(), bytes_r1);
-}
-
-TEST(LowRankCodecTest, LostPacketsZeroTheirRows) {
+TEST(LowRankScheme, LostPacketsZeroTheirRows) {
   const std::size_t rows = 200, cols = 16;
   const auto m = planted_matrix(rows, cols, 2, 0.0f, 12);
-  LowRankCodec codec(codec_cfg(2));
-  auto enc = codec.encode(m, rows, cols, 1);
-  std::vector<LowRankPacket> kept(enc.packets.begin() + 1,
-                                  enc.packets.end());
-  const auto dec = codec.decode(kept, enc.meta);
-  const std::size_t lost_rows = enc.packets[0].n_rows;
-  for (std::size_t i = 0; i < lost_rows; ++i) {
+  const CodecConfig cfg = lowrank_cfg(2, cols);
+  TrimmableEncoder enc(cfg);
+  const auto msg = enc.encode(m, 1, 1);
+  const std::vector<GradientPacket> kept(msg.packets.begin() + 1,
+                                         msg.packets.end());
+  const auto dec = TrimmableDecoder(cfg).decode(kept, msg.meta);
+  const GradientPacket& lost = msg.packets[0];
+  for (std::size_t i = 0; i < lost.n_coords; ++i) {
     for (std::size_t j = 0; j < cols; ++j) {
-      EXPECT_FLOAT_EQ(dec[(enc.packets[0].row_base + i) * cols + j], 0.0f);
+      EXPECT_FLOAT_EQ(dec.values[(lost.coord_base + i) * cols + j], 0.0f);
     }
   }
+  EXPECT_EQ(dec.stats.lost_coords, lost.n_coords * cols);
 }
 
-TEST(LowRankCodecTest, CompressionRatioMatchesRankFraction) {
+TEST(LowRankScheme, CompressionRatioMatchesRankFraction) {
   const std::size_t rows = 1024, cols = 512;
   const auto m = planted_matrix(rows, cols, 2, 0.1f, 13);
-  LowRankCodec codec(codec_cfg(4));
-  const auto enc = codec.encode(m, rows, cols, 1);
-  std::size_t bytes = enc.meta.wire_bytes();
-  for (const auto& p : enc.packets) bytes += p.wire_bytes();
+  TrimmableEncoder enc(lowrank_cfg(4, cols));
+  const auto msg = enc.encode(m, 1, 1);
   // (rows+cols)·rank floats vs rows·cols — a big win for real layers.
   const double expected =
       static_cast<double>((rows + cols) * 4) / (rows * cols);
-  EXPECT_LT(static_cast<double>(bytes) / (m.size() * 4), expected * 1.5);
+  EXPECT_LT(static_cast<double>(msg.total_wire_bytes()) / (m.size() * 4),
+            expected * 1.5);
 }
 
 }  // namespace

@@ -10,12 +10,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 #include <vector>
 
 #include "core/codec.h"
-#include "core/eden.h"
 #include "core/prng.h"
 #include "core/wire.h"
 
@@ -166,39 +164,6 @@ TEST(SimdEncodeSd, BitIdenticalAcrossIsas) {
   }
 }
 
-TEST(SimdEdenQuantize, MatchesScalarForAllCodebookSizes) {
-  IsaGuard guard;
-  // bits 1..5 keep n_boundaries <= 31 (vector path); 6..8 exercise the
-  // large-codebook fallback inside the dispatcher.
-  for (unsigned bits = 1; bits <= 8; ++bits) {
-    const GaussianCodebook& cb = GaussianCodebook::get(bits);
-    for (std::size_t n : {std::size_t{1}, std::size_t{9}, std::size_t{256}}) {
-      const auto r = random_vec(n, 0xede0 + bits * 64 + n);
-      double ss = 0.0;
-      for (float x : r) ss += static_cast<double>(x) * x;
-      const double rms = std::sqrt(ss / static_cast<double>(n));
-      ASSERT_GT(rms, 0.0);
-      std::vector<std::vector<std::uint32_t>> codes_by_isa;
-      for (simd::Isa isa : runnable_isas()) {
-        simd::set_isa(isa);
-        std::vector<std::uint32_t> codes(n);
-        simd::eden_quantize(r.data(), n, rms, cb.boundaries.data(),
-                            cb.boundaries.size(), codes.data());
-        codes_by_isa.push_back(std::move(codes));
-      }
-      for (std::size_t i = 1; i < codes_by_isa.size(); ++i) {
-        expect_bytes_eq(codes_by_isa[0], codes_by_isa[i], "eden codes");
-      }
-      // Cross-check against the codebook's own scalar quantize().
-      for (std::size_t i = 0; i < n; ++i) {
-        const float norm =
-            static_cast<float>(static_cast<double>(r[i]) / rms);
-        EXPECT_EQ(codes_by_isa[0][i], cb.quantize(norm)) << "i=" << i;
-      }
-    }
-  }
-}
-
 TEST(SimdEndToEnd, RhtEncoderProducesIdenticalWireBytesAcrossIsas) {
   IsaGuard guard;
   const auto grad = random_vec(5000, 0xe2e);
@@ -218,20 +183,6 @@ TEST(SimdEndToEnd, RhtEncoderProducesIdenticalWireBytesAcrossIsas) {
   }
   for (std::size_t i = 1; i < wire_by_isa.size(); ++i) {
     expect_bytes_eq(wire_by_isa[0], wire_by_isa[i], "rht wire bytes");
-  }
-}
-
-TEST(SimdEndToEnd, EdenMessageBitIdenticalAcrossIsas) {
-  IsaGuard guard;
-  const auto grad = random_vec(3000, 0xede2);
-  std::vector<std::vector<float>> decoded_by_isa;
-  for (simd::Isa isa : runnable_isas()) {
-    simd::set_isa(isa);
-    const auto msg = eden_encode_message(grad, 1, 2, 3, /*bits=*/4);
-    decoded_by_isa.push_back(eden_decode_message(msg, 1, 2, 3));
-  }
-  for (std::size_t i = 1; i < decoded_by_isa.size(); ++i) {
-    expect_bytes_eq(decoded_by_isa[0], decoded_by_isa[i], "eden decode");
   }
 }
 

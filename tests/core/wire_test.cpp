@@ -301,6 +301,45 @@ TEST(WireMeta, TruncatedMetaRejected) {
   EXPECT_FALSE(parse_meta(bytes).has_value());
 }
 
+// A CRC-valid meta is still untrusted input: fields the decoder would
+// index or divide by must be rejected at parse time, not crash decode.
+TEST(WireMeta, RhtRowLenMustBeNonzeroPowerOfTwo) {
+  MessageMeta meta;
+  meta.scheme = Scheme::kRHT;
+  meta.total_coords = 4096;
+  meta.row_scales = {1.0f, 1.0f, 1.0f, 1.0f};
+  for (const std::uint32_t row_len : {0u, 3u, 1000u, 0x80000001u}) {
+    meta.row_len = row_len;
+    EXPECT_FALSE(parse_meta(serialize_meta(meta)).has_value()) << row_len;
+  }
+  meta.row_len = 1024;
+  const auto back = parse_meta(serialize_meta(meta));
+  ASSERT_TRUE(back.has_value());
+  const TrimmableDecoder dec(cfg_of(Scheme::kRHT));
+  EXPECT_EQ(dec.decode({}, *back).stats.lost_coords, 4096u);
+}
+
+TEST(WireMeta, MagnitudePermMustBeAPermutation) {
+  MessageMeta meta;
+  meta.scheme = Scheme::kMagnitude;
+  meta.total_coords = 4;
+  meta.scalar_scale = 1.0f;
+  for (const std::vector<std::uint32_t>& perm :
+       {std::vector<std::uint32_t>{0, 1, 2, 4},     // entry out of range
+        std::vector<std::uint32_t>{0, 1, 1, 3},     // duplicate entry
+        std::vector<std::uint32_t>{2, 0, 1},        // too short
+        std::vector<std::uint32_t>{0, 1, 2, 3, 0}}) {  // too long
+    meta.perm = perm;
+    EXPECT_FALSE(parse_meta(serialize_meta(meta)).has_value());
+  }
+  meta.perm = {3, 0, 2, 1};
+  const auto back = parse_meta(serialize_meta(meta));
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->perm, meta.perm);
+  const TrimmableDecoder dec(cfg_of(Scheme::kMagnitude));
+  EXPECT_EQ(dec.decode({}, *back).stats.lost_coords, 4u);
+}
+
 TEST(WireMeta, MetaMagicDistinctFromPacketMagic) {
   MessageMeta meta;
   const auto bytes = serialize_meta(meta);

@@ -143,25 +143,5 @@ TEST(Injector, ReplayEmptyTranscriptIsLegalNoOp) {
   EXPECT_EQ(run.packets.size(), n);
 }
 
-TEST(InjectorMultilevel, MixesTrimLevels) {
-  core::MultilevelCodec codec({core::PacketLayout{}, 1 << 10, 1});
-  auto v = gaussian_vec(8192, 7);
-  auto msg = codec.encode(v, 1, 1);
-  TrimInjector inj({0.6, 0.0, 23});
-  const auto st = inj.apply_multilevel(msg.packets, 1, /*mid_fraction=*/0.5);
-  EXPECT_GT(st.trimmed, 0u);
-  std::size_t mids = 0, heads = 0;
-  for (const auto& p : msg.packets) {
-    mids += p.level == core::TrimLevel::kMid ? 1 : 0;
-    heads += p.level == core::TrimLevel::kHead ? 1 : 0;
-  }
-  EXPECT_GT(mids, 0u);
-  EXPECT_GT(heads, 0u);
-  EXPECT_EQ(mids + heads, st.trimmed);
-  // And the mixed message still decodes well.
-  const auto dec = codec.decode(msg.packets, msg.meta);
-  EXPECT_LT(core::nmse(dec, v), 0.5);
-}
-
 }  // namespace
 }  // namespace trimgrad::net

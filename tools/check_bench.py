@@ -117,12 +117,12 @@ def validate(doc, path):
 # therefore expected to scale with cores.  The per-kernel sections (fwht,
 # quantize, bitpack, crc32c) are single-thread SIMD primitives and flat by
 # construction; gemm/trainer_round scale but saturate memory bandwidth well
-# below the codec curves, so the scaling gate covers the codecs only.
-SCALING_SECTIONS = ("rht_encode_decode", "eden_encode_decode")
+# below the codec curve, so the scaling gate covers the RHT codec only.
+SCALING_SECTIONS = ("rht_encode_decode",)
 
 
 def check_scaling(doc, path, min_speedup):
-    """Gate parallel speedup of the codec sections within one bench run."""
+    """Gate parallel speedup of the codec section within one bench run."""
     hw = doc.get("hardware_threads") or 1
     tmax = max(doc["thread_counts"])
     # A machine can only deliver speedup up to its core count; allow ~0.4x

@@ -12,6 +12,7 @@ under pytest (the classes are plain unittest.TestCase).
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -29,8 +30,7 @@ PARALLEL_DOC = {
     "sections": {
         "rht_encode_decode": {"seconds": [1.0, 0.5], "items": 100,
                               "throughput": 100.0},
-        "eden_encode_decode": {"seconds": [1.0, 0.5], "items": 100,
-                               "throughput": 100.0},
+        "gemm": {"seconds": [1.0, 0.5], "items": 100, "throughput": 100.0},
     },
 }
 
@@ -133,16 +133,16 @@ class ParallelModeTest(CheckBenchHarness):
         # A fresh run grew a section the committed baseline lacks: must be
         # a clear "regenerate the baseline" failure, not a KeyError.
         stale = copy.deepcopy(PARALLEL_DOC)
-        del stale["sections"]["eden_encode_decode"]
+        del stale["sections"]["gemm"]
         cand = self.write("cand.json", PARALLEL_DOC)
         base = self.write("base.json", stale)
         proc = self.run_check(cand, "--baseline", base)
         self.assert_clean_failure(proc, 1, "regenerate")
-        self.assertIn("eden_encode_decode", proc.stderr)
+        self.assertIn("gemm", proc.stderr)
 
     def test_candidate_missing_section_fails_cleanly(self):
         shrunk = copy.deepcopy(PARALLEL_DOC)
-        del shrunk["sections"]["eden_encode_decode"]
+        del shrunk["sections"]["gemm"]
         cand = self.write("cand.json", shrunk)
         base = self.write("base.json", PARALLEL_DOC)
         proc = self.run_check(cand, "--baseline", base)
@@ -374,6 +374,56 @@ class AdaptiveModeTest(CheckBenchHarness):
         cand = self.write("cand.json", bad)
         proc = self.run_check("--adaptive", cand)
         self.assert_clean_failure(proc, 1, "non-empty array")
+
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class CiReferencesTest(unittest.TestCase):
+    """ci.yml may only name baselines and build targets that exist.
+
+    A --baseline file missing from the tree fails the gate on load, and a
+    deleted test or bench target fails the build step, but only on CI.
+    """
+
+    def setUp(self):
+        with open(os.path.join(REPO_ROOT, ".github", "workflows", "ci.yml"),
+                  encoding="utf-8") as f:
+            self.ci = f.read()
+
+    def test_baselines_are_tracked_by_git(self):
+        baselines = sorted(set(re.findall(r"--baseline\s+(\S+)", self.ci)))
+        self.assertTrue(baselines, "ci.yml names no --baseline")
+        try:
+            proc = subprocess.run(
+                ["git", "-C", REPO_ROOT, "ls-files", "--", *baselines],
+                capture_output=True, text=True, check=False)
+        except FileNotFoundError:
+            self.skipTest("git is not installed")
+        if proc.returncode != 0:
+            self.skipTest("not a git checkout")
+        tracked = set(proc.stdout.split())
+        missing = [b for b in baselines if b not in tracked]
+        self.assertEqual(missing, [],
+                         "ci.yml --baseline paths not tracked by git "
+                         "(commit them with git add -f)")
+
+    def test_targets_are_registered(self):
+        registered = set()
+        for sub in ("tests", "bench"):
+            with open(os.path.join(REPO_ROOT, sub, "CMakeLists.txt"),
+                      encoding="utf-8") as f:
+                registered |= set(re.findall(
+                    r"(?:trimgrad_test|trimgrad_bench|add_executable)"
+                    r"\(\s*(\w+)", f.read()))
+        # Target names, not the script or file names that share a prefix
+        # (tools/test_check_bench.py).
+        named = set(re.findall(r"\b((?:test|bench)_\w+)\b(?![.\w])",
+                               self.ci))
+        self.assertTrue(named, "ci.yml names no test_*/bench_* target")
+        self.assertEqual(sorted(named - registered), [],
+                         "ci.yml names targets missing from "
+                         "tests/CMakeLists.txt and bench/CMakeLists.txt")
 
 
 if __name__ == "__main__":
