@@ -9,9 +9,11 @@
 //      equal surviving-byte budgets, very different errors + the strawman's
 //      permutation overhead.
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "core/codec.h"
+#include "core/codec_registry.h"
 #include "core/magnitude.h"
 #include "core/prng.h"
 #include "core/stats.h"
@@ -28,10 +30,10 @@ std::vector<float> gaussian_vec(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
-double scheme_nmse(core::Scheme scheme, double rate, std::size_t n,
+double scheme_nmse(const std::string& scheme, double rate, std::size_t n,
                    std::size_t row_len = 1 << 12) {
   core::CodecConfig cfg;
-  cfg.scheme = scheme;
+  cfg.scheme = core::CodecRegistry::global().at(scheme).scheme;
   cfg.rht_row_len = row_len;
   core::TrimmableEncoder enc(cfg);
   core::TrimmableDecoder dec(cfg);
@@ -50,17 +52,13 @@ int main() {
   std::printf("=== (a) decode NMSE vs trim rate (n=%zu gaussian coords) ===\n",
               n);
   std::printf("%8s", "rate%");
-  for (auto s : {core::Scheme::kSign, core::Scheme::kSQ, core::Scheme::kSD,
-                 core::Scheme::kRHT}) {
-    std::printf(" %10s", core::to_string(s));
-  }
+  const std::vector<std::string> schemes = {"sign", "sq", "sd", "rht"};
+  for (const std::string& s : schemes) std::printf(" %10s", s.c_str());
   std::printf("\n");
   for (double rate : {0.001, 0.01, 0.02, 0.1, 0.25, 0.5, 1.0}) {
     std::printf("%7.1f%%", rate * 100);
-    for (auto s : {core::Scheme::kSign, core::Scheme::kSQ, core::Scheme::kSD,
-                   core::Scheme::kRHT}) {
+    for (const std::string& s : schemes)
       std::printf(" %10.4f", scheme_nmse(s, rate, n));
-    }
     std::printf("\n");
   }
   std::printf(
@@ -73,7 +71,7 @@ int main() {
   std::printf("%10s %10s\n", "row_len", "NMSE");
   for (unsigned lg : {10u, 12u, 14u, 15u, 16u, 17u}) {
     std::printf("%10zu %10.4f\n", std::size_t{1} << lg,
-                scheme_nmse(core::Scheme::kRHT, 1.0, n, std::size_t{1} << lg));
+                scheme_nmse("rht", 1.0, n, std::size_t{1} << lg));
   }
   std::printf("(expected: flat near pi/2-1 = 0.5708 — the 2^15 split is "
               "about parallelism, not accuracy)\n\n");
@@ -94,7 +92,7 @@ int main() {
     // to discard the same byte volume.
     const double equivalent_trim = (1.0 - keep) * 32.0 / 31.0;
     const double rht =
-        scheme_nmse(core::Scheme::kRHT, std::min(equivalent_trim, 1.0), n);
+        scheme_nmse("rht", std::min(equivalent_trim, 1.0), n);
     std::printf("%11.0f%% %18.4f %14.4f\n", keep * 100,
                 core::nmse(back, v), rht);
   }

@@ -26,13 +26,13 @@ int main() {
               "sim_time_s", "top1", "top5", "loss");
 
   for (double rate : bench::paper_trim_rates()) {
-    for (core::Scheme scheme : bench::all_schemes()) {
+    for (const std::string& scheme : bench::all_schemes()) {
       const auto spec = bench::sweep_spec(cfg, scheme, rate);
       const auto cell = bench::run_cell(cfg, spec);
       for (const auto& r : cell.records) {
         if (r.top1 < 0) continue;
         std::printf("%-9s %6.1f%% %6zu %12.4f %7.3f %7.3f %9.4f\n",
-                    core::to_string(scheme), rate * 100, r.epoch,
+                    scheme.c_str(), rate * 100, r.epoch,
                     r.sim_time_s, r.top1, r.top5, r.train_loss);
       }
       std::fflush(stdout);

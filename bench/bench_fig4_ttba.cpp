@@ -30,7 +30,8 @@ int main() {
   const bench::SweepConfig cfg = bench::scaled_sweep();
 
   // The grey line: baseline scheme over a clean network.
-  const auto clean = bench::run_cell(cfg, core::Scheme::kBaseline, 0.0);
+  const auto clean =
+      bench::run_cell(cfg, bench::sweep_spec(cfg, "baseline", 0.0));
   // Best epoch, not last: the small test set makes per-epoch accuracy
   // noisy, and "baseline accuracy" means the level the baseline attains.
   double base_acc = 0;
@@ -41,13 +42,13 @@ int main() {
   std::printf("# baseline final top1=%.3f target=%.3f baseline_time=%.4fs\n",
               base_acc, target, base_time);
   std::printf("%-9s", "rate%");
-  for (core::Scheme s : bench::all_schemes())
-    std::printf(" %10s", core::to_string(s));
+  for (const std::string& s : bench::all_schemes())
+    std::printf(" %10s", s.c_str());
   std::printf("\n");
 
   for (double rate : bench::paper_trim_rates()) {
     std::printf("%8.1f%%", rate * 100);
-    for (core::Scheme scheme : bench::all_schemes()) {
+    for (const std::string& scheme : bench::all_schemes()) {
       const auto cell =
           bench::run_cell(cfg, bench::sweep_spec(cfg, scheme, rate));
       const double t = time_to_accuracy(cell.records, target);

@@ -25,18 +25,18 @@ int main() {
   double scalar_encode_ms = 0;
   int scalar_count = 0;
   double rht_encode_ms = 0;
-  for (core::Scheme scheme : bench::all_schemes()) {
-    const auto cell = bench::run_cell(cfg, scheme, 0.0);
+  for (const std::string& scheme : bench::all_schemes()) {
+    const auto cell = bench::run_cell(cfg, bench::sweep_spec(cfg, scheme, 0.0));
     const auto& rb = cell.records.back().mean_round;
     const double total = rb.total() * 1e3;
-    if (scheme == core::Scheme::kBaseline) base_total = total;
-    if (core::is_scalar(scheme)) {
+    if (scheme == "baseline") base_total = total;
+    if (scheme == "sign" || scheme == "sq" || scheme == "sd") {
       scalar_encode_ms += rb.encode_s * 1e3;
       ++scalar_count;
     }
-    if (scheme == core::Scheme::kRHT) rht_encode_ms = rb.encode_s * 1e3;
+    if (scheme == "rht") rht_encode_ms = rb.encode_s * 1e3;
     std::printf("%-9s %11.3f %11.3f %11.3f %11.3f %8.3f %8.2fx\n",
-                core::to_string(scheme), rb.compute_s * 1e3, rb.encode_s * 1e3,
+                scheme.c_str(), rb.compute_s * 1e3, rb.encode_s * 1e3,
                 rb.comm_s * 1e3, rb.decode_s * 1e3, total,
                 base_total > 0 ? total / base_total : 0.0);
     std::fflush(stdout);

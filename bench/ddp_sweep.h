@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "collective/inject_channel.h"
-#include "core/codec_registry.h"
 #include "core/metrics.h"
 #include "core/metrics_export.h"
 #include "core/trace.h"
@@ -57,7 +56,7 @@ inline SweepConfig scaled_sweep() {
 }
 
 struct CellResult {
-  core::Scheme scheme;
+  std::string scheme;  ///< core::CodecRegistry name
   double trim_rate;
   std::vector<ddp::EpochRecord> records;
   /// Global-registry snapshot covering exactly this cell's run, serialized
@@ -68,15 +67,15 @@ struct CellResult {
   std::string label;
 };
 
-/// The ExperimentSpec for one (scheme, rate) cell of the paper grid: the
-/// baseline scheme rides the reliable transport (drops/trims retransmitted
-/// and charged as time); the encodings ride the lossy trim transport.
+/// The ExperimentSpec for one (codec name, rate) cell of the paper grid:
+/// the baseline rides the reliable transport (drops/trims retransmitted and
+/// charged as time); the encodings ride the lossy trim transport.
 inline ddp::ExperimentSpec sweep_spec(const SweepConfig& cfg,
-                                      core::Scheme scheme, double trim_rate) {
+                                      const std::string& scheme,
+                                      double trim_rate) {
   ddp::ExperimentSpec spec;
-  spec.transport =
-      scheme == core::Scheme::kBaseline ? "reliable" : "trim";
-  spec.scheme = core::CodecRegistry::global().name_of(scheme);
+  spec.transport = scheme == "baseline" ? "reliable" : "trim";
+  spec.scheme = scheme;
   spec.topology = "inject";
   spec.trim = trim_rate;
   spec.world = cfg.world;
@@ -119,22 +118,16 @@ inline CellResult run_cell(const SweepConfig& cfg,
     mcfg.width = dcfg.width;
     return ml::make_mini_vgg(mcfg, cfg.vgg_width);
   });
-  CellResult result{tcfg.codec.scheme, spec.trim, trainer.train(), {},
+  CellResult result{spec.scheme, spec.trim, trainer.train(), {},
                     spec.label()};
   result.metrics_json = core::metrics_to_json(core::MetricsRegistry::global());
   return result;
 }
 
-/// Enum-flavored convenience wrapper over the spec-driven run_cell.
-inline CellResult run_cell(const SweepConfig& cfg, core::Scheme scheme,
-                           double trim_rate) {
-  return run_cell(cfg, sweep_spec(cfg, scheme, trim_rate));
-}
-
-inline const std::vector<core::Scheme>& all_schemes() {
-  static const std::vector<core::Scheme> schemes = {
-      core::Scheme::kBaseline, core::Scheme::kSign, core::Scheme::kSQ,
-      core::Scheme::kSD, core::Scheme::kRHT};
+/// The paper's five encodings (Figs. 3-5), as core::CodecRegistry names.
+inline const std::vector<std::string>& all_schemes() {
+  static const std::vector<std::string> schemes = {"baseline", "sign", "sq",
+                                                   "sd", "rht"};
   return schemes;
 }
 

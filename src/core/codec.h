@@ -7,15 +7,9 @@
 // subset of the packets may have been trimmed by switches (tails gone) or
 // lost entirely; the decoder degrades gracefully per coordinate.
 //
-// Scheme-specific behaviour:
-//  * kBaseline — raw float32 payload (Fig. 2a). Trimming/losing a packet
-//    loses its coordinates outright; the reliable-transport baseline in
-//    src/net retransmits instead.
-//  * kSign/kSQ/kSD — §3.1 scalar heads with a message-level scale (σ or L).
-//  * kRHT — §3.2: the message is split into power-of-two rows (default
-//    2^15 entries, the paper's GPU-L1-sized rows), each row independently
-//    rotated; packets never span rows, and each row's unbiased scale f is
-//    carried in the metadata.
+// Both dispatch to the scheme's entry in core/codec_registry.h, which holds
+// everything scheme-specific (the §3.1 scalar heads, the §3.2 RHT rows, the
+// baseline's raw floats, the composed schemes).
 #pragma once
 
 #include <cstdint>
@@ -27,38 +21,33 @@
 
 namespace trimgrad::core {
 
+struct CodecInfo;
+
 /// Encoder/decoder configuration. Both sides must agree on everything here
 /// except `private_seed` (sender-only stochastic-rounding randomness).
 struct CodecConfig {
-  Scheme scheme = Scheme::kRHT;
+  Scheme scheme = kPaperScheme;
   PacketLayout layout{};                     ///< MTU / header / P / Q split
   std::size_t rht_row_len = std::size_t{1} << 15;  ///< RHT row length (pow2)
   std::uint64_t shared_seed = 1;             ///< base seed for SharedRng keys
   std::uint64_t private_seed = 0x5eed;       ///< SQ stochastic rounding
-  /// kTopK: fraction of coordinates kept before encoding (clamped to
-  /// (0, 1]); the MLT observation puts the near-free share at ~0.8 dropped.
-  double topk_keep = 0.25;
-  std::size_t lowrank_rank = 4;    ///< kLowRank: target rank r
-  unsigned lowrank_iters = 2;      ///< kLowRank: power iterations
-  std::size_t lowrank_cols = 64;   ///< kLowRank: reshape width cap
-
-  /// Layout adjusted for the scheme (baseline has no head region).
-  PacketLayout effective_layout() const noexcept;
+  std::size_t lowrank_rank = 4;    ///< lowrank: target rank r
+  std::size_t lowrank_cols = 64;   ///< lowrank: reshape width cap
 };
 
 /// Reliable side-channel metadata for one encoded message.
 struct MessageMeta {
   std::uint32_t msg_id = 0;
   std::uint64_t epoch = 0;
-  Scheme scheme = Scheme::kBaseline;
+  Scheme scheme{};
   std::uint32_t total_coords = 0;
   std::uint32_t row_len = 0;        ///< RHT row length; 0 for non-RHT
   float scalar_scale = 0.0f;        ///< σ (sign) or L (SQ/SD); 0 for RHT
   std::vector<float> row_scales;    ///< per-row f for RHT; empty otherwise
-  /// kMagnitude: placement permutation (placed[i] = grad[perm[i]]); rides
+  /// magnitude: placement permutation (placed[i] = grad[perm[i]]); rides
   /// the reliable channel at ceil(log2 n) bits per entry.
   std::vector<std::uint32_t> perm;
-  // kLowRank: matrix shape, component split, and the reliable Q factor.
+  // lowrank: matrix shape, component split, and the reliable Q factor.
   std::uint32_t lr_rows = 0, lr_cols = 0;
   std::uint16_t lr_rank = 0;   ///< components encoded per packet
   std::uint16_t lr_head = 0;   ///< components in the untrimmable head region
@@ -106,6 +95,7 @@ class TrimmableEncoder {
 
  private:
   CodecConfig cfg_;
+  const CodecInfo* codec_;
   Xoshiro256 private_rng_;
 };
 

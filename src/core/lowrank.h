@@ -7,8 +7,8 @@
 // ranks in the packet payload, such that trimming arbitrary packets always
 // affects only the ranks with the least importance (smallest eigenvalue)".
 //
-// TrimmableEncoder's Scheme::kLowRank arm (core/codec.h) delivers exactly
-// that property on top of these factors:
+// The "lowrank" codec (core/codec_registry.cpp) delivers exactly that
+// property on top of these factors:
 //  * components (columns of P/Q) are sorted by importance (‖p_k‖, the
 //    singular-value proxy);
 //  * the small Q factor rides the reliable metadata channel (like the
@@ -38,6 +38,9 @@ struct LowRankFactors {
   /// Reconstruct M̂ = P·Qᵀ using only the first `use_rank` components.
   std::vector<float> reconstruct(std::size_t use_rank) const;
 };
+
+/// Power iterations the lowrank codec runs per message.
+inline constexpr unsigned kLowRankPowerIters = 2;
 
 /// PowerSGD-style subspace iteration (deterministic given the seed).
 /// `iters` power iterations; 1–2 suffice for gradient matrices.

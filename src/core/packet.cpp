@@ -2,24 +2,6 @@
 
 namespace trimgrad::core {
 
-const char* to_string(Scheme s) noexcept {
-  switch (s) {
-    case Scheme::kBaseline: return "baseline";
-    case Scheme::kSign: return "sign";
-    case Scheme::kSQ: return "sq";
-    case Scheme::kSD: return "sd";
-    case Scheme::kRHT: return "rht";
-    case Scheme::kTopK: return "sparsify";
-    case Scheme::kMagnitude: return "magnitude";
-    case Scheme::kLowRank: return "lowrank";
-  }
-  return "?";
-}
-
-bool is_scalar(Scheme s) noexcept {
-  return s == Scheme::kSign || s == Scheme::kSQ || s == Scheme::kSD;
-}
-
 double PacketLayout::trim_ratio() const noexcept {
   const std::size_t n = coords_per_packet();
   const double full = static_cast<double>(full_packet_bytes(n));

@@ -39,8 +39,8 @@ enum class Scheme : std::uint8_t {
 inline constexpr std::uint8_t kMaxSchemeValue =
     static_cast<std::uint8_t>(Scheme::kLowRank);
 
-const char* to_string(Scheme s) noexcept;
-bool is_scalar(Scheme s) noexcept;  ///< kSign/kSQ/kSD
+/// The paper's codec, the one a default CodecConfig selects.
+inline constexpr Scheme kPaperScheme = Scheme::kRHT;
 
 /// Static layout arithmetic for a (P, Q) split at a given MTU. All of §2's
 /// in-text numbers fall out of these formulas (bench_sec2_layout prints
@@ -90,7 +90,7 @@ struct GradientPacket {
   std::uint32_t coord_base = 0;  ///< index of the first coordinate carried
   std::uint16_t n_coords = 0;    ///< number of coordinates carried
   std::uint16_t seq = 0;         ///< packet sequence number within message
-  Scheme scheme = Scheme::kBaseline;
+  Scheme scheme{};
   std::uint8_t p_bits = 1;
   std::uint8_t q_bits = 31;
   bool trimmed = false;  ///< set by the switch (or injector) on trim
@@ -105,25 +105,19 @@ struct GradientPacket {
   }
 
   /// What the switch does under congestion: drop the tail region and mark
-  /// the packet. Idempotent. For kBaseline there is no head/tail split —
-  /// trimming discards the whole payload (Fig. 2a keeps only however many
-  /// whole floats fit before the trim point; we model the trim point at the
-  /// header so a trimmed baseline packet loses all of its coordinates,
-  /// matching the reliable-transport baseline that must retransmit).
+  /// the packet. Idempotent. The same cut for every scheme: the baseline
+  /// puts all of its raw floats in the tail (Fig. 2a), so a trimmed baseline
+  /// packet keeps only its header and loses every coordinate, matching the
+  /// reliable-transport baseline that must retransmit.
   void trim() noexcept {
     trimmed = true;
     tail_region.clear();
     tail_region.shrink_to_fit();
-    if (scheme == Scheme::kBaseline) {
-      head_region.clear();
-      head_region.shrink_to_fit();
-    }
   }
 
   /// Size this packet would have after trimming (the switch's trim point).
   std::size_t trimmed_wire_bytes() const noexcept {
-    return kTransportHeaderBytes +
-           (scheme == Scheme::kBaseline ? 0 : head_region.size());
+    return kTransportHeaderBytes + head_region.size();
   }
 };
 

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <vector>
 
+#include "core/codec_registry.h"
 #include "core/simd.h"
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -145,18 +146,6 @@ bool cpu_has_crc32() noexcept {
 }
 
 #endif  // TRIMGRAD_WIRE_X86
-
-/// True when `perm` holds every index of [0, n) exactly once.
-bool is_permutation_of_iota(const std::vector<std::uint32_t>& perm,
-                            std::size_t n) {
-  if (perm.size() != n) return false;
-  std::vector<bool> seen(n, false);
-  for (const std::uint32_t v : perm) {
-    if (v >= n || seen[v]) return false;
-    seen[v] = true;
-  }
-  return true;
-}
 
 }  // namespace
 
@@ -315,7 +304,6 @@ ParsedPacket parse_packet_verified(std::span<const std::uint8_t> data) {
     // in full), so drop it.
     pkt.trimmed = true;
     pkt.tail_region.clear();
-    if (pkt.scheme == Scheme::kBaseline) pkt.head_region.clear();
     verdict = WireVerdict::kTrimmed;
   }
   return {verdict, std::move(pkt)};
@@ -397,11 +385,8 @@ std::optional<MessageMeta> parse_meta(std::span<const std::uint8_t> data) {
   for (std::uint32_t i = 0; i < n_q; ++i) meta.lr_q.push_back(c.f32());
   if (c.remaining() != 0) return std::nullopt;
   // A CRC only proves the sender wrote these bytes, not that the decoder
-  // can use them: reject the fields it would trust blindly.
-  if (meta.scheme == Scheme::kRHT && !std::has_single_bit(meta.row_len))
-    return std::nullopt;
-  if (!meta.perm.empty() &&
-      !is_permutation_of_iota(meta.perm, meta.total_coords))
+  // can use them: the scheme's codec rejects the fields it would trust.
+  if (!CodecRegistry::global().of(meta.scheme).accepts(meta))
     return std::nullopt;
   return meta;
 }

@@ -15,34 +15,37 @@ Host& host_at(Simulator& sim, NodeId id) {
   return static_cast<Host&>(sim.node(id));
 }
 
-// ------------------------------------------------------- window transports --
-
-class WindowFlow final : public Flow {
+/// A flow is one receiver endpoint plus one sender endpoint of the same
+/// transport; every transport's endpoints expose the same surface.
+template <class Rx, class Tx, class Cfg>
+class EndpointFlow final : public Flow {
  public:
-  WindowFlow(Simulator& sim, NodeId src, NodeId dst, std::uint32_t flow_id,
-             const TransportConfig& cfg, FlowOptions options) {
-    receiver_ = std::make_unique<Receiver>(
-        host_at(sim, dst), src, flow_id, options.expected_packets, cfg,
-        std::move(options.on_data), std::move(options.on_receiver_complete));
-    sender_ = std::make_unique<Sender>(host_at(sim, src), dst, flow_id, cfg);
-  }
+  EndpointFlow(Simulator& sim, NodeId src, NodeId dst, std::uint32_t flow_id,
+               const Cfg& cfg, FlowOptions options)
+      : receiver_(host_at(sim, dst), src, flow_id, options.expected_packets,
+                  cfg, std::move(options.on_data),
+                  std::move(options.on_receiver_complete)),
+        sender_(host_at(sim, src), dst, flow_id, cfg) {}
 
-  void send_message(std::vector<SendItem> items,
-                    std::function<void(const FlowStats&)> on_complete) override {
-    sender_->send_message(std::move(items), std::move(on_complete));
+  void send_message(
+      std::vector<SendItem> items,
+      std::function<void(const FlowStats&)> on_complete) override {
+    sender_.send_message(std::move(items), std::move(on_complete));
   }
-  void abort() override { sender_->abort(); }
-  bool sender_active() const override { return sender_->active(); }
-  SimTime current_rto() const override { return sender_->current_rto(); }
-  const FlowStats& stats() const override { return sender_->stats(); }
+  void abort() override { sender_.abort(); }
+  bool sender_active() const override { return sender_.active(); }
+  SimTime current_rto() const override { return sender_.current_rto(); }
+  const FlowStats& stats() const override { return sender_.stats(); }
   const ReceiverStats& receiver_stats() const override {
-    return receiver_->stats();
+    return receiver_.stats();
   }
 
  private:
-  std::unique_ptr<Receiver> receiver_;
-  std::unique_ptr<Sender> sender_;
+  Rx receiver_;
+  Tx sender_;
 };
+
+// ------------------------------------------------------- window transports --
 
 class WindowTransport final : public Transport {
  public:
@@ -66,8 +69,8 @@ class WindowTransport final : public Transport {
     if (tuning.rto_cap > 0) cfg.rto_cap = tuning.rto_cap;
     cfg.retransmit_budget = tuning.retransmit_budget;
     cfg.flow_deadline = tuning.flow_deadline;
-    return std::make_unique<WindowFlow>(sim, src, dst, flow_id, cfg,
-                                        std::move(options));
+    return std::make_unique<EndpointFlow<Receiver, Sender, TransportConfig>>(
+        sim, src, dst, flow_id, cfg, std::move(options));
   }
 
  private:
@@ -77,34 +80,6 @@ class WindowTransport final : public Transport {
 };
 
 // --------------------------------------------------------- pull transport --
-
-class PullFlowImpl final : public Flow {
- public:
-  PullFlowImpl(Simulator& sim, NodeId src, NodeId dst, std::uint32_t flow_id,
-               const PullConfig& cfg, FlowOptions options) {
-    receiver_ = std::make_unique<PullReceiver>(
-        host_at(sim, dst), src, flow_id, options.expected_packets, cfg,
-        std::move(options.on_data), std::move(options.on_receiver_complete));
-    sender_ = std::make_unique<PullSender>(host_at(sim, src), dst, flow_id,
-                                           cfg);
-  }
-
-  void send_message(std::vector<SendItem> items,
-                    std::function<void(const FlowStats&)> on_complete) override {
-    sender_->send_message(std::move(items), std::move(on_complete));
-  }
-  void abort() override { sender_->abort(); }
-  bool sender_active() const override { return sender_->active(); }
-  SimTime current_rto() const override { return sender_->current_rto(); }
-  const FlowStats& stats() const override { return sender_->stats(); }
-  const ReceiverStats& receiver_stats() const override {
-    return receiver_->stats();
-  }
-
- private:
-  std::unique_ptr<PullReceiver> receiver_;
-  std::unique_ptr<PullSender> sender_;
-};
 
 class PullTransport final : public Transport {
  public:
@@ -124,8 +99,8 @@ class PullTransport final : public Transport {
     if (tuning.rto_cap > 0) cfg.rto_cap = tuning.rto_cap;
     cfg.retransmit_budget = tuning.retransmit_budget;
     cfg.flow_deadline = tuning.flow_deadline;
-    return std::make_unique<PullFlowImpl>(sim, src, dst, flow_id, cfg,
-                                          std::move(options));
+    return std::make_unique<EndpointFlow<PullReceiver, PullSender, PullConfig>>(
+        sim, src, dst, flow_id, cfg, std::move(options));
   }
 
  private:
@@ -133,34 +108,6 @@ class PullTransport final : public Transport {
 };
 
 // ---------------------------------------------------------- ECN transport --
-
-class EcnFlowImpl final : public Flow {
- public:
-  EcnFlowImpl(Simulator& sim, NodeId src, NodeId dst, std::uint32_t flow_id,
-              const EcnConfig& cfg, FlowOptions options) {
-    receiver_ = std::make_unique<EcnReceiver>(
-        host_at(sim, dst), src, flow_id, options.expected_packets, cfg,
-        std::move(options.on_data), std::move(options.on_receiver_complete));
-    sender_ = std::make_unique<EcnSender>(host_at(sim, src), dst, flow_id,
-                                          cfg);
-  }
-
-  void send_message(std::vector<SendItem> items,
-                    std::function<void(const FlowStats&)> on_complete) override {
-    sender_->send_message(std::move(items), std::move(on_complete));
-  }
-  void abort() override { sender_->abort(); }
-  bool sender_active() const override { return sender_->active(); }
-  SimTime current_rto() const override { return sender_->current_rto(); }
-  const FlowStats& stats() const override { return sender_->stats(); }
-  const ReceiverStats& receiver_stats() const override {
-    return receiver_->stats();
-  }
-
- private:
-  std::unique_ptr<EcnReceiver> receiver_;
-  std::unique_ptr<EcnSender> sender_;
-};
 
 class EcnTransport final : public Transport {
  public:
@@ -180,8 +127,8 @@ class EcnTransport final : public Transport {
     if (tuning.rto_cap > 0) cfg.rto_cap = tuning.rto_cap;
     cfg.retransmit_budget = tuning.retransmit_budget;
     cfg.flow_deadline = tuning.flow_deadline;
-    return std::make_unique<EcnFlowImpl>(sim, src, dst, flow_id, cfg,
-                                         std::move(options));
+    return std::make_unique<EndpointFlow<EcnReceiver, EcnSender, EcnConfig>>(
+        sim, src, dst, flow_id, cfg, std::move(options));
   }
 
  private:

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/codec.h"
+#include "core/codec_registry.h"
 #include "core/prng.h"
 #include "core/stats.h"
 
@@ -43,7 +44,8 @@ TEST_P(QSweep, UntrimmedDecodeErrorShrinksWithQ) {
     // mantissa truncation error is then <= 2^-(q-9) relative.
     const double bound =
         q >= 31 ? 1e-10 : 2.0 * std::pow(2.0, -2.0 * (q - 9.0));
-    EXPECT_LT(nmse(out.values, v), bound) << to_string(s) << " q=" << q;
+    EXPECT_LT(nmse(out.values, v), bound)
+        << CodecRegistry::global().name_of(s) << " q=" << q;
   }
 }
 
@@ -88,7 +90,8 @@ TEST(QSweepScalar, SqSdWorkAtReducedQ) {
     const auto msg = enc.encode(v, 1, 1);
     const auto out = dec.decode(msg.packets, msg.meta);
     // sign(1) + exp(8) + ~5 mantissa bits: ~3 % worst-case relative error.
-    EXPECT_LT(nmse(out.values, v), 1e-3) << to_string(s);
+    EXPECT_LT(nmse(out.values, v), 1e-3)
+        << CodecRegistry::global().name_of(s);
   }
 }
 

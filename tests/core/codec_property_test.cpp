@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/codec.h"
+#include "core/codec_registry.h"
 #include "core/prng.h"
 #include "core/stats.h"
 
@@ -120,7 +121,7 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<Grid>& info) {
       // NOTE: no structured bindings here — the brackets don't group for
       // the preprocessor and the commas would split the macro arguments.
-      return std::string(to_string(std::get<0>(info.param))) + "_n" +
+      return CodecRegistry::global().name_of(std::get<0>(info.param)) + "_n" +
              std::to_string(std::get<1>(info.param)) + "_r" +
              std::to_string(static_cast<int>(std::get<2>(info.param) * 100));
     });

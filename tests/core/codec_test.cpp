@@ -7,6 +7,7 @@
 #include <cmath>
 #include <vector>
 
+#include "core/codec_registry.h"
 #include "core/prng.h"
 #include "core/stats.h"
 
@@ -56,7 +57,8 @@ TEST_P(CodecAllSchemes, UntrimmedRoundTripIsNearExact) {
   EXPECT_EQ(out.stats.lost_coords, 0u);
   // Baseline/sign/RHT are bit-exact (RHT up to IRHT rounding);
   // SQ/SD drop one mantissa LSB.
-  EXPECT_LT(nmse(out.values, v), 1e-9) << to_string(GetParam());
+  EXPECT_LT(nmse(out.values, v), 1e-9)
+      << CodecRegistry::global().name_of(GetParam());
 }
 
 TEST_P(CodecAllSchemes, MetaDescribesTheMessage) {
@@ -102,7 +104,7 @@ INSTANTIATE_TEST_SUITE_P(Schemes, CodecAllSchemes,
                                            Scheme::kSQ, Scheme::kSD,
                                            Scheme::kRHT),
                          [](const ::testing::TestParamInfo<Scheme>& info) {
-                           return to_string(info.param);
+                           return CodecRegistry::global().name_of(info.param);
                          });
 
 TEST(CodecBaseline, TrimmedPacketsLoseCoordinates) {
@@ -131,7 +133,7 @@ TEST(CodecScalar, TrimmedDecodeUsesHeads) {
     EXPECT_EQ(out.stats.lost_coords, 0u);
     EXPECT_EQ(out.stats.full_coords + out.stats.trimmed_coords, v.size());
     // Estimate is still correlated with the truth.
-    EXPECT_LT(nmse(out.values, v), 8.0) << to_string(s);
+    EXPECT_LT(nmse(out.values, v), 8.0) << CodecRegistry::global().name_of(s);
   }
 }
 
@@ -248,7 +250,8 @@ TEST(CodecEdge, SingleCoordinate) {
     const EncodedMessage msg = enc.encode(v, 1, 1);
     const DecodeResult out = dec.decode(msg.packets, msg.meta);
     ASSERT_EQ(out.values.size(), 1u);
-    EXPECT_NEAR(out.values[0], 3.25f, 1e-5f) << to_string(s);
+    EXPECT_NEAR(out.values[0], 3.25f, 1e-5f)
+        << CodecRegistry::global().name_of(s);
   }
 }
 

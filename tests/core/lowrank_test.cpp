@@ -107,7 +107,6 @@ CodecConfig lowrank_cfg(std::size_t rank, std::size_t cols) {
   CodecConfig cfg;
   cfg.scheme = Scheme::kLowRank;
   cfg.lowrank_rank = rank;
-  cfg.lowrank_iters = 3;
   cfg.lowrank_cols = cols;
   return cfg;
 }
@@ -116,7 +115,7 @@ CodecConfig lowrank_cfg(std::size_t rank, std::size_t cols) {
 LowRankFactors encoder_factors(const CodecConfig& cfg,
                                const std::vector<float>& m, std::size_t rows,
                                std::size_t cols) {
-  return power_factorize(m, rows, cols, cfg.lowrank_rank, cfg.lowrank_iters,
+  return power_factorize(m, rows, cols, cfg.lowrank_rank, kLowRankPowerIters,
                          mix64(cfg.shared_seed, mix64(1, 1)));
 }
 

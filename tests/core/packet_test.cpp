@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
+#include "core/codec_registry.h"
+
 namespace trimgrad::core {
 namespace {
 
@@ -88,19 +93,22 @@ TEST(GradientPacket, BaselineTrimLosesEverything) {
 }
 
 TEST(SchemeNames, AllDistinct) {
-  EXPECT_STREQ(to_string(Scheme::kBaseline), "baseline");
-  EXPECT_STREQ(to_string(Scheme::kSign), "sign");
-  EXPECT_STREQ(to_string(Scheme::kSQ), "sq");
-  EXPECT_STREQ(to_string(Scheme::kSD), "sd");
-  EXPECT_STREQ(to_string(Scheme::kRHT), "rht");
-}
-
-TEST(SchemeNames, IsScalarClassification) {
-  EXPECT_FALSE(is_scalar(Scheme::kBaseline));
-  EXPECT_TRUE(is_scalar(Scheme::kSign));
-  EXPECT_TRUE(is_scalar(Scheme::kSQ));
-  EXPECT_TRUE(is_scalar(Scheme::kSD));
-  EXPECT_FALSE(is_scalar(Scheme::kRHT));
+  // Decode dispatches on the wire value, so every one needs exactly one
+  // registry entry, and that entry a codec.
+  const auto& reg = CodecRegistry::global();
+  std::set<std::string> seen;
+  for (unsigned v = 0; v <= kMaxSchemeValue; ++v) {
+    const auto scheme = static_cast<Scheme>(v);
+    std::size_t entries = 0;
+    for (const auto& name : reg.names())
+      entries += reg.at(name).scheme == scheme ? 1 : 0;
+    EXPECT_EQ(entries, 1u) << "scheme " << v;
+    const CodecInfo& info = reg.of(scheme);
+    EXPECT_TRUE(info.encode && info.decode && info.accepts) << info.name;
+    EXPECT_TRUE(seen.insert(info.name).second) << info.name;
+  }
+  EXPECT_EQ(seen.size(), reg.names().size());
+  EXPECT_EQ(reg.name_of(kPaperScheme), "rht");
 }
 
 }  // namespace

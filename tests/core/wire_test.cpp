@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "core/codec_registry.h"
 #include "core/prng.h"
 #include "core/stats.h"
 
@@ -71,12 +72,18 @@ TEST_P(WireSchemes, ByteTruncationAtTrimPointEqualsTrim) {
   }
 }
 
+/// Every registered codec, as its wire scheme.
+std::vector<Scheme> registered_schemes() {
+  std::vector<Scheme> out;
+  for (const auto& name : CodecRegistry::global().names())
+    out.push_back(CodecRegistry::global().at(name).scheme);
+  return out;
+}
+
 INSTANTIATE_TEST_SUITE_P(Schemes, WireSchemes,
-                         ::testing::Values(Scheme::kBaseline, Scheme::kSign,
-                                           Scheme::kSQ, Scheme::kSD,
-                                           Scheme::kRHT),
+                         ::testing::ValuesIn(registered_schemes()),
                          [](const ::testing::TestParamInfo<Scheme>& info) {
-                           return to_string(info.param);
+                           return CodecRegistry::global().name_of(info.param);
                          });
 
 TEST(Wire, TruncationInsideTailStillParsesAsTrimmed) {
@@ -338,6 +345,46 @@ TEST(WireMeta, MagnitudePermMustBeAPermutation) {
   EXPECT_EQ(back->perm, meta.perm);
   const TrimmableDecoder dec(cfg_of(Scheme::kMagnitude));
   EXPECT_EQ(dec.decode({}, *back).stats.lost_coords, 4u);
+}
+
+TEST(WireMeta, LowRankShapeMustMatchTotalCoords) {
+  // Decode allocates rows × rank floats for P and one state byte per row,
+  // so the shape must be the one the encoder derives from total_coords.
+  TrimmableEncoder enc(cfg_of(Scheme::kLowRank));
+  const auto msg = enc.encode(gaussian_vec(1000, 9), 1, 1);
+  ASSERT_TRUE(parse_meta(serialize_meta(msg.meta)).has_value());
+  ASSERT_EQ(msg.meta.lr_cols, 64u);
+  ASSERT_EQ(msg.meta.lr_rows, 16u);
+
+  MessageMeta huge;  // CRC-valid, and asks decode for an 8 GiB P
+  huge.scheme = Scheme::kLowRank;
+  huge.total_coords = 1;
+  huge.lr_rows = 0x7fffffffu;
+  huge.lr_cols = 1;
+  huge.lr_rank = 1;
+  huge.lr_q = {1.0f};
+  EXPECT_FALSE(parse_meta(serialize_meta(huge)).has_value());
+
+  const auto rejects = [&](auto&& tamper) {
+    MessageMeta m = msg.meta;
+    tamper(m);
+    return !parse_meta(serialize_meta(m)).has_value();
+  };
+  EXPECT_TRUE(rejects([](MessageMeta& m) { m.lr_cols = 0; }));
+  EXPECT_TRUE(rejects([](MessageMeta& m) { m.lr_cols = 1001; }));
+  EXPECT_TRUE(rejects([](MessageMeta& m) { m.lr_rows = 17; }));
+  EXPECT_TRUE(rejects([](MessageMeta& m) { m.lr_rank = 0; }));
+  EXPECT_TRUE(rejects([](MessageMeta& m) {
+    m.lr_rank = 17;  // > min(rows, cols)
+    m.lr_q.resize(64 * 17);
+  }));
+  EXPECT_TRUE(rejects([](MessageMeta& m) { m.lr_head = m.lr_rank + 1; }));
+  EXPECT_TRUE(rejects([](MessageMeta& m) { m.lr_q.pop_back(); }));
+  // An empty message carries no shape at all.
+  EXPECT_TRUE(rejects([](MessageMeta& m) { m.total_coords = 0; }));
+  MessageMeta empty;
+  empty.scheme = Scheme::kLowRank;
+  EXPECT_TRUE(parse_meta(serialize_meta(empty)).has_value());
 }
 
 TEST(WireMeta, MetaMagicDistinctFromPacketMagic) {
