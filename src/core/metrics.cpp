@@ -14,6 +14,19 @@ std::atomic<std::uint64_t> g_next_registry_id{1};
 
 }  // namespace
 
+thread_local MetricsRegistry::LastShard MetricsRegistry::tl_last_;
+
+inline MetricsRegistry::Shard& MetricsRegistry::local_shard() noexcept {
+  // The acquire pairs with the registration's release, so a handle this
+  // thread was given is always covered once the generations match.
+  Shard* shard = tl_last_.shard;
+  if (tl_last_.registry == instance_id_ &&
+      shard->generation == generation_.load(std::memory_order_acquire)) {
+    return *shard;
+  }
+  return local_shard_slow();
+}
+
 void Counter::add(std::uint64_t delta) const noexcept {
   if (reg_ == nullptr) return;
   MetricsRegistry::Shard& shard = reg_->local_shard();
@@ -42,38 +55,40 @@ MetricsRegistry::MetricsRegistry()
 
 MetricsRegistry::~MetricsRegistry() = default;
 
-MetricsRegistry::Shard& MetricsRegistry::local_shard() noexcept {
-  // Each thread caches one shard pointer per registry instance id. The map
-  // is tiny (one or two registries per process in practice) and only grows;
-  // shards themselves are owned by the registry and survive thread exit.
-  static thread_local std::unordered_map<std::uint64_t, Shard*> tl_shards;
-  Shard*& cached = tl_shards[instance_id_];
-  if (cached == nullptr) {
-    std::lock_guard<std::mutex> lock(mu_);
-    shards_.push_back(std::make_unique<Shard>());
-    Shard* shard = shards_.back().get();
-    shard->counters.assign(counter_names_.size(), 0);
-    shard->hists.resize(hists_.size());
-    for (std::size_t h = 0; h < hists_.size(); ++h) {
-      shard->hists[h].assign(hists_[h]->bounds.size() + 1, 0);
-    }
-    cached = shard;
-  } else {
-    // Registrations may have happened since this shard was created; grow it
-    // under the lock so concurrent snapshot() never sees a torn resize.
-    if (cached->counters.size() != counter_names_.size() ||
-        cached->hists.size() != hists_.size()) {
+MetricsRegistry::Shard& MetricsRegistry::local_shard_slow() noexcept {
+  // Another registry than the last one: each thread keeps one shard pointer
+  // per registry instance id. The map is tiny and only grows; shards are
+  // owned by the registry and survive thread exit.
+  if (tl_last_.registry != instance_id_) {
+    static thread_local std::unordered_map<std::uint64_t, Shard*> tl_shards;
+    Shard*& cached = tl_shards[instance_id_];
+    if (cached == nullptr) {
       std::lock_guard<std::mutex> lock(mu_);
-      cached->counters.resize(counter_names_.size(), 0);
-      cached->hists.resize(hists_.size());
-      for (std::size_t h = 0; h < hists_.size(); ++h) {
-        if (cached->hists[h].empty()) {
-          cached->hists[h].assign(hists_[h]->bounds.size() + 1, 0);
-        }
-      }
+      shards_.push_back(std::make_unique<Shard>());
+      cached = shards_.back().get();
+      grow_locked(*cached);
+    }
+    tl_last_ = {instance_id_, cached};
+  }
+  // Registrations since this shard was last sized: grow it under the lock
+  // so a concurrent snapshot() never sees a torn resize.
+  Shard& shard = *tl_last_.shard;
+  if (shard.generation != generation_.load(std::memory_order_acquire)) {
+    std::lock_guard<std::mutex> lock(mu_);
+    grow_locked(shard);
+  }
+  return shard;
+}
+
+void MetricsRegistry::grow_locked(Shard& shard) const {
+  shard.counters.resize(counter_names_.size(), 0);
+  shard.hists.resize(hists_.size());
+  for (std::size_t h = 0; h < hists_.size(); ++h) {
+    if (shard.hists[h].empty()) {
+      shard.hists[h].assign(hists_[h]->bounds.size() + 1, 0);
     }
   }
-  return *cached;
+  shard.generation = generation_.load(std::memory_order_relaxed);
 }
 
 Counter MetricsRegistry::counter(std::string_view name) {
@@ -82,9 +97,8 @@ Counter MetricsRegistry::counter(std::string_view name) {
     if (counter_names_[i] == name) return Counter(this, i);
   }
   counter_names_.emplace_back(name);
-  const std::size_t id = counter_names_.size() - 1;
-  for (auto& shard : shards_) shard->counters.resize(counter_names_.size(), 0);
-  return Counter(this, id);
+  generation_.fetch_add(1, std::memory_order_release);
+  return Counter(this, counter_names_.size() - 1);
 }
 
 Gauge MetricsRegistry::gauge(std::string_view name) {
@@ -110,11 +124,8 @@ Histogram MetricsRegistry::histogram(std::string_view name,
   info->name = std::string(name);
   info->bounds = std::move(upper_bounds);
   hists_.push_back(std::move(info));
+  generation_.fetch_add(1, std::memory_order_release);
   const std::size_t id = hists_.size() - 1;
-  for (auto& shard : shards_) {
-    shard->hists.resize(hists_.size());
-    shard->hists[id].assign(hists_[id]->bounds.size() + 1, 0);
-  }
   return Histogram(this, id, &hists_[id]->bounds);
 }
 

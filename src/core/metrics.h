@@ -14,11 +14,14 @@
 // integer bucket counts (no floating-point sums, whose reduction order
 // would leak the shard count into the low bits).
 //
-// Hot-path cost: one thread-local lookup + one uint64 add. Registration,
-// gauges, snapshots, and resets take a mutex and belong in sequential
-// phases only.
+// Hot-path cost: one thread-local compare, one atomic load and one uint64
+// add. Registration takes a mutex and is safe while other threads
+// increment (it never touches their shards); it belongs in sequential
+// phases anyway, so that registration order is deterministic. Gauges,
+// snapshots, and resets take the mutex and are sequential-only.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -107,7 +110,8 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   /// Register (or look up — registration is idempotent by name) a metric.
-  /// Sequential phases only. histogram() with a name that already exists
+  /// Thread-safe; call from sequential phases to keep snapshot order
+  /// deterministic. histogram() with a name that already exists
   /// returns the existing metric and ignores the new bounds.
   Counter counter(std::string_view name);
   Gauge gauge(std::string_view name);
@@ -128,19 +132,38 @@ class MetricsRegistry {
   friend class Gauge;
   friend class Histogram;
 
+  /// One thread's cells. Only its own thread writes or grows it (growth
+  /// under mu_); snapshot() reads it only while no parallel work runs.
   struct Shard {
     std::vector<std::uint64_t> counters;              // by counter id
     std::vector<std::vector<std::uint64_t>> hists;    // by histogram id
+    std::uint64_t generation = 0;  // registrations it has been sized for
   };
   struct HistInfo {
     std::string name;
     std::vector<double> bounds;
   };
 
+  /// The calling thread's shard, sized for every registered metric.
   Shard& local_shard() noexcept;
+  Shard& local_shard_slow() noexcept;
+  /// Size `shard` for every metric registered so far. Caller holds mu_.
+  void grow_locked(Shard& shard) const;
+
+  /// The registry this thread touched last and its shard there: the fast
+  /// path of local_shard().
+  struct LastShard {
+    std::uint64_t registry = 0;  ///< instance id; ids start at 1
+    Shard* shard = nullptr;
+  };
+  static thread_local LastShard tl_last_;
 
   mutable std::mutex mu_;
   std::uint64_t instance_id_ = 0;
+  /// Bumped (under mu_) by every counter/histogram registration; the hot
+  /// path compares it with its shard's generation instead of reading the
+  /// name vectors, which other threads may be appending to.
+  std::atomic<std::uint64_t> generation_{0};
   std::vector<std::string> counter_names_;
   std::vector<std::string> gauge_names_;
   std::vector<double> gauge_values_;

@@ -115,6 +115,15 @@ struct GradientPacket {
     tail_region.shrink_to_fit();
   }
 
+  /// A trimmed copy, built without ever copying the tail region: what a
+  /// switch forwards when the sender keeps the original for retransmission.
+  GradientPacket trimmed_copy() const {
+    return GradientPacket{msg_id,      row_id, coord_base,
+                          n_coords,    seq,    scheme,
+                          p_bits,      q_bits, /*trimmed=*/true,
+                          head_region, /*tail_region=*/{}};
+  }
+
   /// Size this packet would have after trimming (the switch's trim point).
   std::size_t trimmed_wire_bytes() const noexcept {
     return kTransportHeaderBytes + head_region.size();

@@ -54,9 +54,17 @@ bool TraceLog::enabled() const {
   return enabled_;
 }
 
-void TraceLog::set_time_source(TimeFn fn) {
+void TraceLog::set_time_source(TimeFn fn, const void* owner) {
   std::lock_guard<std::mutex> lock(mu_);
   time_fn_ = std::move(fn);
+  time_owner_ = owner;
+}
+
+void TraceLog::clear_time_source(const void* owner) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (time_owner_ != owner) return;
+  time_fn_ = nullptr;
+  time_owner_ = nullptr;
 }
 
 void TraceLog::set_max_events(std::size_t max_events) {

@@ -44,8 +44,14 @@ class TraceLog {
   bool enabled() const;
 
   /// Install the clock (seconds). Pass {} to revert to the logical tick
-  /// clock. net::Simulator installs itself here for its lifetime.
-  void set_time_source(TimeFn fn);
+  /// clock. `owner` tags the source for clear_time_source(); net::Simulator
+  /// installs itself here for its lifetime.
+  void set_time_source(TimeFn fn, const void* owner = nullptr);
+
+  /// Revert to the logical tick clock, but only if the installed source is
+  /// still `owner`'s: a simulator that dies after a newer one took over the
+  /// clock must not take the newer one's clock away.
+  void clear_time_source(const void* owner);
 
   /// Drop the oldest-first tail once this many events are recorded
   /// (recording stops; nothing is evicted). 0 = unlimited. Default 1M.
@@ -102,6 +108,7 @@ class TraceLog {
   mutable std::mutex mu_;
   bool enabled_ = true;
   TimeFn time_fn_;
+  const void* time_owner_ = nullptr;
   std::uint64_t tick_ = 0;
   std::size_t max_events_ = 1u << 20;
   std::vector<Event> events_;

@@ -32,7 +32,7 @@ struct MembershipTelemetry {
 /// collected per window; poll() consumes and clears them.
 class Membership::HeartbeatSink : public net::FlowEndpoint {
  public:
-  void on_frame(net::Frame frame) override {
+  void on_frame(net::Frame&& frame) override {
     if (frame.kind != net::FrameKind::kHeartbeat) return;
     heard_.push_back({frame.hb_rank, frame.hb_view});
   }

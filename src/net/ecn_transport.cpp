@@ -77,7 +77,7 @@ void EcnSender::end_of_window_round() {
   round_marks_ = 0;
 }
 
-void EcnSender::on_frame(Frame frame) {
+void EcnSender::on_frame(Frame&& frame) {
   if (!core_.active()) return;
   if (frame.kind == FrameKind::kNack) {
     core_.handle_nack(frame.ack_echo);
@@ -122,7 +122,7 @@ EcnReceiver::EcnReceiver(Host& host, NodeId peer, std::uint32_t flow_id,
 
 EcnReceiver::~EcnReceiver() { host_.unbind(flow_id_); }
 
-void EcnReceiver::on_frame(Frame frame) {
+void EcnReceiver::on_frame(Frame&& frame) {
   if (!core_.pre_deliver(frame)) return;
   core_.deliver(frame);
   core_.maybe_complete();

@@ -50,7 +50,7 @@ class EcnSender : public FlowEndpoint {
   /// Give up on the in-flight message now. No-op when not active.
   void abort();
 
-  void on_frame(Frame frame) override;
+  void on_frame(Frame&& frame) override;
 
   const FlowStats& stats() const noexcept { return core_.stats(); }
   /// DCTCP alpha: EWMA of the per-window ECN-marked fraction in [0, 1].
@@ -88,7 +88,7 @@ class EcnReceiver : public FlowEndpoint {
               std::function<void(const ReceiverStats&)> on_complete = {});
   ~EcnReceiver() override;
 
-  void on_frame(Frame frame) override;
+  void on_frame(Frame&& frame) override;
   const ReceiverStats& stats() const noexcept { return core_.stats(); }
   bool complete() const noexcept { return core_.complete(); }
 

@@ -20,9 +20,7 @@ void Frame::trim() {
   trimmed = true;
   if (cargo) {
     // Copy-on-trim: the sender may hold the same packet for retransmission.
-    auto copy = std::make_shared<core::GradientPacket>(*cargo);
-    copy->trim();
-    cargo = std::move(copy);
+    cargo = std::make_shared<const core::GradientPacket>(cargo->trimmed_copy());
   }
 }
 

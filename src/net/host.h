@@ -17,7 +17,7 @@ namespace trimgrad::net {
 class FlowEndpoint {
  public:
   virtual ~FlowEndpoint() = default;
-  virtual void on_frame(Frame frame) = 0;
+  virtual void on_frame(Frame&& frame) = 0;
 };
 
 class Host : public Node {
@@ -32,7 +32,7 @@ class Host : public Node {
   }
   void unbind(std::uint32_t flow_id) { endpoints_.erase(flow_id); }
 
-  void on_frame(Frame frame) override {
+  void on_frame(Frame&& frame) override {
     const auto it = endpoints_.find(frame.flow_id);
     if (it == endpoints_.end()) {
       ++unclaimed_;

@@ -51,7 +51,7 @@ void PullSender::send_message(
 
 void PullSender::abort() { core_.abort(); }
 
-void PullSender::on_frame(Frame frame) {
+void PullSender::on_frame(Frame&& frame) {
   if (!core_.active()) return;
   if (frame.kind == FrameKind::kPull) {
     core_.send_next_new();
@@ -135,7 +135,7 @@ void PullReceiver::grant_pull() {
   pacer_->request(flow_id_, peer_);
 }
 
-void PullReceiver::on_frame(Frame frame) {
+void PullReceiver::on_frame(Frame&& frame) {
   if (!core_.pre_deliver(frame)) return;
   core_.deliver(frame);
   grant_pull();

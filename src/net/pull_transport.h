@@ -81,7 +81,7 @@ class PullSender : public FlowEndpoint {
   /// Give up on the in-flight message now. No-op when not active.
   void abort();
 
-  void on_frame(Frame frame) override;
+  void on_frame(Frame&& frame) override;
 
   const FlowStats& stats() const noexcept { return core_.stats(); }
   bool active() const noexcept { return core_.active(); }
@@ -109,7 +109,7 @@ class PullReceiver : public FlowEndpoint {
                PullPacer* pacer = nullptr);
   ~PullReceiver() override;
 
-  void on_frame(Frame frame) override;
+  void on_frame(Frame&& frame) override;
 
   const ReceiverStats& stats() const noexcept { return core_.stats(); }
   bool complete() const noexcept { return core_.complete(); }

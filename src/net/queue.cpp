@@ -30,6 +30,15 @@ struct QueueTelemetry {
 
 }  // namespace
 
+void FrameRing::grow() {
+  std::vector<Frame> bigger(buf_.empty() ? 8 : 2 * buf_.size());
+  for (std::size_t i = 0; i < size_; ++i) {
+    bigger[i] = std::move(buf_[(head_ + i) & (buf_.size() - 1)]);
+  }
+  buf_ = std::move(bigger);
+  head_ = 0;
+}
+
 const char* to_string(QueuePolicy p) noexcept {
   switch (p) {
     case QueuePolicy::kDropTail: return "droptail";
@@ -39,7 +48,7 @@ const char* to_string(QueuePolicy p) noexcept {
   return "?";
 }
 
-bool EgressQueue::enqueue_header(Frame frame) {
+bool EgressQueue::enqueue_header(Frame&& frame) {
   if (header_bytes_ + frame.size_bytes > cfg_.header_capacity_bytes) {
     ++counters_.dropped;
     QueueTelemetry::get().dropped.add();
@@ -53,7 +62,7 @@ bool EgressQueue::enqueue_header(Frame frame) {
   return true;
 }
 
-bool EgressQueue::enqueue(Frame frame) {
+bool EgressQueue::enqueue(Frame&& frame) {
   occupancy_.add(static_cast<double>(data_bytes_));
   QueueTelemetry::get().depth_bytes.observe(static_cast<double>(data_bytes_));
 
@@ -94,24 +103,16 @@ bool EgressQueue::enqueue(Frame frame) {
   return false;
 }
 
-std::optional<Frame> EgressQueue::dequeue() {
-  if (!header_q_.empty()) {
-    Frame f = std::move(header_q_.front());
-    header_q_.pop_front();
-    header_bytes_ -= f.size_bytes;
-    ++counters_.dequeued;
-    QueueTelemetry::get().dequeued.add();
-    return f;
-  }
-  if (!data_q_.empty()) {
-    Frame f = std::move(data_q_.front());
-    data_q_.pop_front();
-    data_bytes_ -= f.size_bytes;
-    ++counters_.dequeued;
-    QueueTelemetry::get().dequeued.add();
-    return f;
-  }
-  return std::nullopt;
+bool EgressQueue::dequeue(Frame& out) {
+  const bool header = !header_q_.empty();
+  FrameRing& q = header ? header_q_ : data_q_;
+  if (q.empty()) return false;
+  out = std::move(q.front());
+  q.pop_front();
+  (header ? header_bytes_ : data_bytes_) -= out.size_bytes;
+  ++counters_.dequeued;
+  QueueTelemetry::get().dequeued.add();
+  return true;
 }
 
 }  // namespace trimgrad::net

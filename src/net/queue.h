@@ -8,8 +8,7 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
-#include <optional>
+#include <vector>
 
 #include "core/stats.h"
 #include "net/frame.h"
@@ -40,6 +39,32 @@ struct QueueCounters {
   std::size_t max_data_bytes = 0;  ///< high-water mark of the data queue
 };
 
+/// FIFO of frames in a power-of-two ring that only grows, so a steady hop
+/// moves a frame in and out without touching the allocator.
+class FrameRing {
+ public:
+  bool empty() const noexcept { return size_ == 0; }
+  Frame& front() noexcept { return buf_[head_]; }
+  const Frame& front() const noexcept { return buf_[head_]; }
+  void push_back(Frame&& frame) {
+    if (size_ == buf_.size()) grow();
+    buf_[(head_ + size_) & (buf_.size() - 1)] = std::move(frame);
+    ++size_;
+  }
+  /// Drop the front slot; the caller has already moved the frame out.
+  void pop_front() noexcept {
+    head_ = (head_ + 1) & (buf_.size() - 1);
+    --size_;
+  }
+
+ private:
+  void grow();
+
+  std::vector<Frame> buf_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+};
+
 /// Two-level egress queue with a congestion policy. Not thread-safe — the
 /// simulator is single-threaded by design.
 class EgressQueue {
@@ -48,11 +73,18 @@ class EgressQueue {
 
   /// Offer a frame. Returns false if the frame was dropped. A true return
   /// means the frame was accepted (possibly trimmed in place first).
-  bool enqueue(Frame frame);
+  bool enqueue(Frame&& frame);
 
-  /// Pop the next frame to transmit: strict priority to the header queue
-  /// (trimmed frames + control), then the data queue.
-  std::optional<Frame> dequeue();
+  /// The frame dequeue() would pop next, or nullptr if the queue is empty.
+  const Frame* front() const noexcept {
+    if (!header_q_.empty()) return &header_q_.front();
+    return data_q_.empty() ? nullptr : &data_q_.front();
+  }
+
+  /// Pop the next frame to transmit into `out`: strict priority to the
+  /// header queue (trimmed frames + control), then the data queue. Returns
+  /// false (leaving `out` untouched) if the queue is empty.
+  bool dequeue(Frame& out);
 
   bool empty() const noexcept {
     return header_q_.empty() && data_q_.empty();
@@ -65,11 +97,11 @@ class EgressQueue {
   const core::RunningStats& occupancy() const noexcept { return occupancy_; }
 
  private:
-  bool enqueue_header(Frame frame);
+  bool enqueue_header(Frame&& frame);
 
   QueueConfig cfg_;
-  std::deque<Frame> data_q_;
-  std::deque<Frame> header_q_;
+  FrameRing data_q_;
+  FrameRing header_q_;
   std::size_t data_bytes_ = 0;
   std::size_t header_bytes_ = 0;
   QueueCounters counters_;

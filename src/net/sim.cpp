@@ -34,12 +34,13 @@ Simulator::Simulator() : domains_(1) {
   // While a simulator is alive, trace timestamps read the simulated clock
   // (the executing domain's clock inside an event, the high-water mark
   // outside — see now()).
-  core::TraceLog::global().set_time_source([this] { return now(); });
+  core::TraceLog::global().set_time_source([this] { return now(); }, this);
 }
 
 Simulator::~Simulator() {
-  // Never leave a dangling clock behind; fall back to the logical ticker.
-  core::TraceLog::global().set_time_source({});
+  // Never leave a dangling clock behind; fall back to the logical ticker —
+  // unless a newer simulator has installed its own clock since.
+  core::TraceLog::global().clear_time_source(this);
 }
 
 SimTime Simulator::now() const noexcept {
@@ -49,17 +50,21 @@ SimTime Simulator::now() const noexcept {
 
 void Simulator::schedule(SimTime delay, std::function<void()> fn) {
   const NodeId ctx_node = (g_ctx.sim == this) ? g_ctx.node : kInvalidNode;
-  schedule_event(ctx_node, delay, std::move(fn));
+  Payload& p = place(next_key(ctx_node, delay));
+  p.kind = EventKind::kCallback;
+  p.fn = std::move(fn);
 }
 
 void Simulator::schedule_at(NodeId node_id, SimTime delay,
                             std::function<void()> fn) {
   if (node_id >= nodes_.size()) throw std::out_of_range("bad node id");
-  schedule_event(node_id, delay, std::move(fn));
+  Payload& p = place(next_key(node_id, delay));
+  p.kind = EventKind::kCallback;
+  p.fn = std::move(fn);
 }
 
-void Simulator::schedule_event(NodeId exec_node, SimTime delay,
-                               std::function<void()> fn) {
+Simulator::HeapEntry Simulator::next_key(NodeId exec_node,
+                                         SimTime delay) noexcept {
   assert(delay >= 0.0);
   const bool in_exec = (g_ctx.sim == this);
   // The event key is assigned by the *scheduling* domain: its id plus the
@@ -71,7 +76,7 @@ void Simulator::schedule_event(NodeId exec_node, SimTime delay,
   const std::uint32_t sched = in_exec ? g_ctx.domain : 0u;
   Domain& sd = domains_[sched];
   const SimTime base = in_exec ? sd.now : now_;
-  push_event(Event{base + delay, sched, ++sd.seq, exec_node, std::move(fn)});
+  return HeapEntry{base + delay, sched, exec_node, ++sd.seq, 0};
 }
 
 std::uint32_t Simulator::exec_domain_of(NodeId node_id) const noexcept {
@@ -79,37 +84,97 @@ std::uint32_t Simulator::exec_domain_of(NodeId node_id) const noexcept {
   return node_domain_[node_id];
 }
 
-void Simulator::push_event(Event ev) {
-  const std::uint32_t dest = exec_domain_of(ev.exec_node);
+std::uint32_t Simulator::PayloadSlab::acquire() {
+  if (!free_.empty()) {
+    const std::uint32_t slot = free_.back();
+    free_.pop_back();
+    return slot;
+  }
+  if ((size_ & (kChunkSize - 1)) == 0) {
+    chunks_.push_back(std::make_unique<Payload[]>(kChunkSize));
+  }
+  return size_++;
+}
+
+Simulator::Payload& Simulator::place(HeapEntry key) {
+  const std::uint32_t dest = exec_domain_of(key.exec_node);
   if (in_window_ && g_ctx.sim == this && dest != g_ctx.domain) {
     // Cross-domain events born inside a parallel window go to the
-    // scheduler's private outbox (the destination heap belongs to another
-    // worker right now); the barrier merges them. Conservative lookahead
-    // guarantees their time is at or beyond the window horizon.
-    domains_[g_ctx.domain].outbox.push_back(std::move(ev));
-    return;
+    // scheduler's private outbox (the destination heap and slab belong to
+    // another worker right now); the barrier slots them. Conservative
+    // lookahead guarantees their time is at or beyond the window horizon.
+    OutboxEvent& ev = domains_[g_ctx.domain].outbox.emplace_back();
+    ev.key = key;
+    return ev.payload;
   }
-  auto& heap = domains_[dest].heap;
-  heap.push_back(std::move(ev));
-  std::push_heap(heap.begin(), heap.end(), EventLater{});
+  Domain& dd = domains_[dest];
+  key.slot = dd.slab.acquire();
+  if (dd.root_free) {
+    // Take the running event's place: one sift-down instead of the pop's
+    // sift plus this push's sift.
+    dd.root_free = false;
+    auto& heap = dd.heap;
+    std::size_t i = 0;
+    for (std::size_t c = 1; c < heap.size(); c = 2 * i + 1) {
+      if (c + 1 < heap.size() && EventLater{}(heap[c], heap[c + 1])) ++c;
+      if (!EventLater{}(key, heap[c])) break;
+      heap[i] = heap[c];
+      i = c;
+    }
+    heap[i] = key;
+  } else {
+    dd.heap.push_back(key);
+    std::push_heap(dd.heap.begin(), dd.heap.end(), EventLater{});
+  }
+  return dd.slab[key.slot];
+}
+
+void Simulator::run_next(Domain& dom) {
+  const HeapEntry ev = dom.heap.front();
+  assert(ev.time >= dom.now);
+  dom.now = ev.time;
+  g_ctx.node = ev.exec_node;
+  ++dom.executed;
+  // The entry stays at the root while its handler runs; the first event the
+  // handler schedules into this domain overwrites it (see place()). Nothing
+  // reads this heap's root until the handler returns. The slab is chunked,
+  // so `p` stays put however many events the handler schedules.
+  dom.root_free = true;
+  Payload& p = dom.slab[ev.slot];
+  switch (p.kind) {
+    case EventKind::kDrain:
+      drain_port(ev.exec_node, p.port);
+      break;
+    case EventKind::kDeliver:
+      deliver(ev.exec_node, std::move(p.frame));
+      p.frame.cargo.reset();  // a handler that did not take the frame
+      break;
+    case EventKind::kCallback:
+      p.fn();
+      p.fn = nullptr;
+      break;
+  }
+  dom.slab.release(ev.slot);
+  if (dom.root_free) {
+    dom.root_free = false;
+    std::pop_heap(dom.heap.begin(), dom.heap.end(), EventLater{});
+    dom.heap.pop_back();
+  }
 }
 
 void Simulator::run_domain(std::uint32_t d, SimTime bound, SimTime until) {
   Domain& dom = domains_[d];
+  const auto ready = [&] {
+    return !dom.heap.empty() && dom.heap.front().time < bound &&
+           dom.heap.front().time <= until;
+  };
+  if (!ready()) return;  // most domains idle through most windows
   const ExecCtx saved = g_ctx;
   g_ctx.sim = this;
   g_ctx.domain = d;
-  while (!dom.heap.empty()) {
-    if (dom.heap.front().time >= bound || dom.heap.front().time > until) break;
-    std::pop_heap(dom.heap.begin(), dom.heap.end(), EventLater{});
-    Event ev = std::move(dom.heap.back());
-    dom.heap.pop_back();
-    assert(ev.time >= dom.now);
-    dom.now = ev.time;
-    g_ctx.node = ev.exec_node;
-    ++dom.executed;
-    ev.fn();
-  }
+  do {
+    run_next(dom);
+  } while (ready());
   g_ctx = saved;
 }
 
@@ -133,17 +198,9 @@ void Simulator::run_sequential(SimTime until) {
       }
     }
     if (best == domains_.size()) break;
-    Domain& dom = domains_[best];
-    std::pop_heap(dom.heap.begin(), dom.heap.end(), EventLater{});
-    Event ev = std::move(dom.heap.back());
-    dom.heap.pop_back();
-    assert(ev.time >= dom.now);
-    dom.now = ev.time;
     g_ctx.sim = this;
     g_ctx.domain = static_cast<std::uint32_t>(best);
-    g_ctx.node = ev.exec_node;
-    ++dom.executed;
-    ev.fn();
+    run_next(domains_[best]);
   }
   g_ctx = saved;
 }
@@ -183,11 +240,11 @@ void Simulator::run_parallel(SimTime until) {
                         }
                       });
     in_window_ = false;
-    // Barrier: merge the windows' cross-domain traffic into the destination
+    // Barrier: slot the windows' cross-domain traffic into the destination
     // heaps. Order of insertion is irrelevant — pop order is defined by the
     // event keys, which were fixed at schedule time.
     for (Domain& d : domains_) {
-      for (Event& ev : d.outbox) push_event(std::move(ev));
+      for (OutboxEvent& ev : d.outbox) place(ev.key) = std::move(ev.payload);
       d.outbox.clear();
     }
   }
@@ -323,9 +380,8 @@ std::pair<std::size_t, std::size_t> Simulator::connect(NodeId a, NodeId b,
   return {na.ports_.size() - 1, nb.ports_.size() - 1};
 }
 
-bool Simulator::transmit(NodeId from, std::size_t port_idx, Frame frame) {
-  Node& n = node(from);
-  Port& p = n.port(port_idx);
+bool Simulator::transmit(NodeId from, std::size_t port_idx, Frame&& frame) {
+  Port& p = node(from).port(port_idx);
   const std::uint64_t frame_id = frame.id;
   const FrameKind kind = frame.kind;
   if (fault_plane_ != nullptr) {
@@ -355,63 +411,70 @@ bool Simulator::transmit(NodeId from, std::size_t port_idx, Frame frame) {
 }
 
 void Simulator::drain_port(NodeId node_id, std::size_t port_idx) {
-  Node& n = node(node_id);
-  Port& p = n.port(port_idx);
+  Port& p = *nodes_[node_id]->ports_[port_idx];
   if (fault_plane_ != nullptr &&
       !fault_plane_->link_up(node_id, port_idx, now())) {
     // The link went down with frames still queued: they are lost with it.
     // transmit() refuses new frames for the rest of the window, so the
     // queue stays empty and the first post-recovery transmit re-kicks us.
-    while (auto queued = p.queue().dequeue()) {
-      fault_plane_->note_queue_flushed(node_id, port_idx, now(), queued->id);
+    Frame lost;
+    while (p.queue().dequeue(lost)) {
+      fault_plane_->note_queue_flushed(node_id, port_idx, now(), lost.id);
       if (monitor_ != nullptr) {
-        monitor_->on_queue_flushed(node_id, queued->id, now());
+        monitor_->on_queue_flushed(node_id, lost.id, now());
       }
     }
     p.transmitting_ = false;
     return;
   }
-  auto next = p.queue().dequeue();
-  if (!next) {
+  const Frame* head = p.queue().front();
+  if (head == nullptr) {
     p.transmitting_ = false;
     return;
   }
   p.transmitting_ = true;
-  Frame frame = std::move(*next);
-  LinkSpec link = p.link();
-  if (fault_plane_ != nullptr) {
-    link = fault_plane_->effective_link(node_id, port_idx, now(), p.link());
-    fault_plane_->maybe_corrupt(node_id, port_idx, now(), frame);
-  }
-  const SimTime tx = link.tx_time(frame.size_bytes);
-  const SimTime prop = link.latency_s;
+  const LinkSpec link =
+      fault_plane_ != nullptr
+          ? fault_plane_->effective_link(node_id, port_idx, now(), p.link())
+          : p.link();
+  const SimTime tx = link.tx_time(head->size_bytes);
   const NodeId peer = p.peer();
   // Link is busy for the serialization time, then pulls the next frame.
   // Anchored at this node: the next-drain event stays in our domain.
-  schedule_event(node_id, tx,
-                 [this, node_id, port_idx] { drain_port(node_id, port_idx); });
+  Payload& drain = place(next_key(node_id, tx));
+  drain.kind = EventKind::kDrain;
+  drain.port = static_cast<std::uint32_t>(port_idx);
   // The frame lands at the peer after serialization + propagation — in the
   // peer's domain, which for an inter-domain link is at least `lookahead`
-  // away (prop >= lookahead by construction). Frames already on the wire
-  // when a *link* fails still land (they left the queue); frames addressed
-  // to a dead *node* are lost on arrival.
-  schedule_event(peer, tx + prop, [this, peer, f = std::move(frame)]() mutable {
-    if (fault_plane_ != nullptr && !fault_plane_->node_up(peer, now())) {
-      fault_plane_->note_node_drop(peer, now(), f.id);
-      if (monitor_ != nullptr) monitor_->on_arrival_drop(peer, f.id, now());
-      return;
-    }
-    ++domains_[exec_domain_of(peer)].delivered;
-    if (monitor_ == nullptr) {
-      node(peer).on_frame(std::move(f));
-    } else {
-      // Bracket the dispatch: the monitor requires every data frame to be
-      // resolved by exactly one outcome before the handler returns.
-      monitor_->begin_delivery(peer, f, now());
-      node(peer).on_frame(std::move(f));
-      monitor_->end_delivery();
-    }
-  });
+  // away (prop >= lookahead by construction). It moves from the queue
+  // straight into the delivery payload.
+  Payload& arrival = place(next_key(peer, tx + link.latency_s));
+  arrival.kind = EventKind::kDeliver;
+  p.queue().dequeue(arrival.frame);
+  if (fault_plane_ != nullptr) {
+    fault_plane_->maybe_corrupt(node_id, port_idx, now(), arrival.frame);
+  }
+}
+
+void Simulator::deliver(NodeId peer, Frame&& frame) {
+  // Frames already on the wire when a *link* fails still land (they left
+  // the queue); frames addressed to a dead *node* are lost on arrival.
+  if (fault_plane_ != nullptr && !fault_plane_->node_up(peer, now())) {
+    fault_plane_->note_node_drop(peer, now(), frame.id);
+    if (monitor_ != nullptr) monitor_->on_arrival_drop(peer, frame.id, now());
+    return;
+  }
+  ++domains_[exec_domain_of(peer)].delivered;
+  Node& n = *nodes_[peer];
+  if (monitor_ == nullptr) {
+    n.on_frame(std::move(frame));
+  } else {
+    // Bracket the dispatch: the monitor requires every data frame to be
+    // resolved by exactly one outcome before the handler returns.
+    monitor_->begin_delivery(peer, frame, now());
+    n.on_frame(std::move(frame));
+    monitor_->end_delivery();
+  }
 }
 
 std::size_t Node::port_to(NodeId peer) const noexcept {

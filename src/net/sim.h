@@ -13,6 +13,11 @@
 // partition-aware key (time, scheduling domain, per-domain sequence) — never
 // by thread scheduling — so sequential and parallel execution of the same
 // partitioned fabric are bit-identical, for any TRIMGRAD_THREADS.
+//
+// Scheduling an event allocates nothing in steady state: the heap holds
+// 32-byte plain keys, and each key points at a payload slot in a per-domain
+// slab — a port to drain, a frame to deliver, or (for the cold schedule()
+// API only) a callback.
 #pragma once
 
 #include <cstdint>
@@ -156,7 +161,7 @@ class Simulator {
 
   /// Hand a frame to a node's egress port: enqueue and kick the drain loop.
   /// Returns false if the queue dropped the frame.
-  bool transmit(NodeId from, std::size_t port_idx, Frame frame);
+  bool transmit(NodeId from, std::size_t port_idx, Frame&& frame);
 
   /// Fresh frame id for tracing and the fault plane's stateless coins.
   /// Drawn from the current domain's counter (domain 0 outside events), so
@@ -184,29 +189,73 @@ class Simulator {
   InvariantMonitor* invariant_monitor() const noexcept { return monitor_; }
 
  private:
-  struct Event {
+  /// What an event does. Drain and deliver are the per-hop hot path and
+  /// carry their operands inline; callback serves the cold schedule() /
+  /// schedule_at() API (timers, traffic generators).
+  enum class EventKind : std::uint8_t { kCallback, kDrain, kDeliver };
+  struct Payload {
+    EventKind kind = EventKind::kCallback;
+    std::uint32_t port = 0;     ///< kDrain: egress port of the exec node
+    Frame frame;                ///< kDeliver: frame landing at the exec node
+    std::function<void()> fn;   ///< kCallback
+  };
+
+  /// Heap entry: plain data, so heap sifts copy 32 bytes. Execution order
+  /// is the key (time, key_domain, key_seq); `slot` names the payload in
+  /// the executing domain's slab.
+  struct HeapEntry {
     SimTime time;
     std::uint32_t key_domain;  ///< scheduling domain (tiebreaker, part 1)
-    std::uint64_t key_seq;     ///< per-domain sequence (tiebreaker, part 2)
     NodeId exec_node;          ///< node context the event runs as
-    std::function<void()> fn;
+    std::uint64_t key_seq;     ///< per-domain sequence (tiebreaker, part 2)
+    std::uint32_t slot;
   };
+  static_assert(sizeof(HeapEntry) == 32);
   /// a after b in execution order? Key = (time, key_domain, key_seq): with
   /// one domain this is exactly time-then-FIFO; the key never depends on
   /// thread scheduling, which is the whole determinism argument.
   struct EventLater {
-    bool operator()(const Event& a, const Event& b) const noexcept {
+    bool operator()(const HeapEntry& a, const HeapEntry& b) const noexcept {
       if (a.time != b.time) return a.time > b.time;
       if (a.key_domain != b.key_domain) return a.key_domain > b.key_domain;
       return a.key_seq > b.key_seq;
     }
   };
 
+  /// Payload storage with a free list. Chunked, so a payload never moves
+  /// while its handler runs, however many events that handler schedules.
+  class PayloadSlab {
+   public:
+    std::uint32_t acquire();
+    void release(std::uint32_t slot) { free_.push_back(slot); }
+    Payload& operator[](std::uint32_t slot) noexcept {
+      return chunks_[slot >> kChunkBits][slot & (kChunkSize - 1)];
+    }
+
+   private:
+    static constexpr std::uint32_t kChunkBits = 8;
+    static constexpr std::uint32_t kChunkSize = 1u << kChunkBits;
+    std::vector<std::unique_ptr<Payload[]>> chunks_;
+    std::vector<std::uint32_t> free_;
+    std::uint32_t size_ = 0;
+  };
+
+  /// A cross-domain event born inside a parallel window. The barrier gives
+  /// it a slot in the destination domain's slab.
+  struct OutboxEvent {
+    HeapEntry key;
+    Payload payload;
+  };
+
   /// Per-domain execution state. Padded: in parallel windows each domain is
   /// owned by exactly one worker, and neighbors must not share cache lines.
   struct alignas(64) Domain {
-    std::vector<Event> heap;    ///< binary heap via std::push_heap/pop_heap
-    std::vector<Event> outbox;  ///< cross-domain events emitted this window
+    std::vector<HeapEntry> heap;  ///< binary heap via std::push_heap/pop_heap
+    /// The root's event is running and its entry may be overwritten (see
+    /// run_next()).
+    bool root_free = false;
+    PayloadSlab slab;             ///< payloads of the events in `heap`
+    std::vector<OutboxEvent> outbox;  ///< cross-domain events this window
     SimTime now = 0.0;
     std::uint64_t seq = 0;        ///< event-key sequence for this scheduler
     std::uint64_t frame_seq = 0;  ///< frame-id counter for this scheduler
@@ -219,11 +268,19 @@ class Simulator {
   }
   void register_node(std::unique_ptr<Node> node);
   void drain_port(NodeId node_id, std::size_t port_idx);
+  void deliver(NodeId peer, Frame&& frame);
 
   std::uint32_t exec_domain_of(NodeId node) const noexcept;
-  void schedule_event(NodeId exec_node, SimTime delay,
-                      std::function<void()> fn);
-  void push_event(Event ev);
+  /// Key of a new event run as `exec_node`, `delay` after the scheduling
+  /// domain's clock; draws that domain's next sequence number.
+  HeapEntry next_key(NodeId exec_node, SimTime delay) noexcept;
+  /// Queue an event under `key` and return its payload for the caller to
+  /// fill: a slot in the executing domain's slab, or the scheduler's outbox
+  /// for a cross-domain event born inside a parallel window.
+  Payload& place(HeapEntry key);
+  /// Run the earliest event of `dom`, then drop it from the heap and free
+  /// its slot.
+  void run_next(Domain& dom);
   /// Execute ready events of `d` with time < bound and <= until.
   void run_domain(std::uint32_t d, SimTime bound, SimTime until);
   void run_sequential(SimTime until);
@@ -254,8 +311,9 @@ class Node {
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
-  /// A frame has fully arrived at this node.
-  virtual void on_frame(Frame frame) = 0;
+  /// A frame has fully arrived at this node. The handler may move from
+  /// `frame`; whatever it leaves behind is released when it returns.
+  virtual void on_frame(Frame&& frame) = 0;
 
   NodeId id() const noexcept { return id_; }
   const std::string& name() const noexcept { return name_; }

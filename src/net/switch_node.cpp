@@ -23,10 +23,9 @@ struct SwitchTelemetry {
 
 std::ptrdiff_t SwitchNode::egress_for(NodeId dst,
                                       std::uint32_t flow_id) const noexcept {
-  const auto it = routes_.find(dst);
   const std::vector<std::size_t>* group = nullptr;
-  if (it != routes_.end() && !it->second.empty()) {
-    group = &it->second;
+  if (dst < routes_.size() && !routes_[dst].empty()) {
+    group = &routes_[dst];
   } else if (!default_group_.empty()) {
     group = &default_group_;
   } else {
@@ -38,7 +37,7 @@ std::ptrdiff_t SwitchNode::egress_for(NodeId dst,
   return static_cast<std::ptrdiff_t>((*group)[h % group->size()]);
 }
 
-void SwitchNode::on_frame(Frame frame) {
+void SwitchNode::on_frame(Frame&& frame) {
   const std::ptrdiff_t out = egress_for(frame.dst, frame.flow_id);
   if (out < 0) {
     ++unroutable_;

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "net/sim.h"
@@ -21,12 +20,12 @@ class SwitchNode : public Node {
 
   /// Route frames for `dst` out of `port_idx`.
   void set_route(NodeId dst, std::size_t port_idx) {
-    routes_[dst] = {port_idx};
+    route_entry(dst) = {port_idx};
   }
 
   /// ECMP: frames for `dst` hash (by flow id) across `port_idxs`.
   void set_ecmp_route(NodeId dst, std::vector<std::size_t> port_idxs) {
-    routes_[dst] = std::move(port_idxs);
+    route_entry(dst) = std::move(port_idxs);
   }
 
   /// Fallback port when no table entry matches (e.g. leaf uplink).
@@ -38,26 +37,24 @@ class SwitchNode : public Node {
     default_group_ = std::move(port_idxs);
   }
 
-  void on_frame(Frame frame) override;
+  void on_frame(Frame&& frame) override;
 
   /// The exact egress port the datapath would pick for (dst, flow_id),
   /// including the ECMP hash; -1 if the frame would be unroutable. This is
   /// the hook the topology invariant tests use to walk paths.
   std::ptrdiff_t egress_for(NodeId dst, std::uint32_t flow_id) const noexcept;
 
-  /// Route table entry for `dst` (ECMP group), or nullptr if none.
-  const std::vector<std::size_t>* route_ports(NodeId dst) const noexcept {
-    const auto it = routes_.find(dst);
-    return it == routes_.end() ? nullptr : &it->second;
-  }
-
-  std::size_t route_count() const noexcept { return routes_.size(); }
-
   /// Frames that arrived with no usable route (counted, then dropped).
   std::uint64_t unroutable() const noexcept { return unroutable_; }
 
  private:
-  std::unordered_map<NodeId, std::vector<std::size_t>> routes_;
+  std::vector<std::size_t>& route_entry(NodeId dst) {
+    if (dst >= routes_.size()) routes_.resize(std::size_t{dst} + 1);
+    return routes_[dst];
+  }
+
+  /// Egress group by destination id; an empty group means "no entry".
+  std::vector<std::vector<std::size_t>> routes_;
   std::vector<std::size_t> default_group_;
   std::uint64_t unroutable_ = 0;
 };

@@ -36,7 +36,7 @@ void Sender::try_send_new() {
   }
 }
 
-void Sender::on_frame(Frame frame) {
+void Sender::on_frame(Frame&& frame) {
   if (!core_.active()) return;
   if (frame.kind == FrameKind::kNack) {
     core_.handle_nack(frame.ack_echo);
@@ -87,7 +87,7 @@ Receiver::Receiver(Host& host, NodeId peer, std::uint32_t flow_id,
 
 Receiver::~Receiver() { host_.unbind(flow_id_); }
 
-void Receiver::on_frame(Frame frame) {
+void Receiver::on_frame(Frame&& frame) {
   if (!core_.pre_deliver(frame)) return;
   core_.deliver(frame);
   core_.maybe_complete();

@@ -69,7 +69,7 @@ class Sender : public FlowEndpoint {
   /// owning layer, e.g. a collective round). No-op when not active.
   void abort();
 
-  void on_frame(Frame frame) override;
+  void on_frame(Frame&& frame) override;
 
   const FlowStats& stats() const noexcept { return core_.stats(); }
   bool active() const noexcept { return core_.active(); }
@@ -101,7 +101,7 @@ class Receiver : public FlowEndpoint {
            std::function<void(const ReceiverStats&)> on_complete = {});
   ~Receiver() override;
 
-  void on_frame(Frame frame) override;
+  void on_frame(Frame&& frame) override;
 
   const ReceiverStats& stats() const noexcept { return core_.stats(); }
   bool complete() const noexcept { return core_.complete(); }

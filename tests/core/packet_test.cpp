@@ -71,6 +71,35 @@ TEST(GradientPacket, TrimDropsTailAndSetsFlag) {
   EXPECT_EQ(pkt.wire_bytes(), expected_trimmed);
 }
 
+TEST(GradientPacket, TrimmedCopyMatchesCopyThenTrim) {
+  GradientPacket pkt;
+  pkt.msg_id = 7;
+  pkt.row_id = 3;
+  pkt.coord_base = 512;
+  pkt.n_coords = 256;
+  pkt.seq = 9;
+  pkt.scheme = Scheme::kRHT;
+  pkt.p_bits = 2;
+  pkt.q_bits = 15;
+  pkt.head_region.assign(46, 0xaa);
+  pkt.tail_region.assign(1412, 0xbb);
+  GradientPacket expected = pkt;
+  expected.trim();
+  const GradientPacket got = pkt.trimmed_copy();
+  EXPECT_EQ(got.msg_id, expected.msg_id);
+  EXPECT_EQ(got.row_id, expected.row_id);
+  EXPECT_EQ(got.coord_base, expected.coord_base);
+  EXPECT_EQ(got.n_coords, expected.n_coords);
+  EXPECT_EQ(got.seq, expected.seq);
+  EXPECT_EQ(got.scheme, expected.scheme);
+  EXPECT_EQ(got.p_bits, expected.p_bits);
+  EXPECT_EQ(got.q_bits, expected.q_bits);
+  EXPECT_EQ(got.trimmed, expected.trimmed);
+  EXPECT_EQ(got.head_region, expected.head_region);
+  EXPECT_EQ(got.tail_region, expected.tail_region);
+  EXPECT_EQ(pkt.tail_region.size(), 1412u);  // the original keeps its tail
+}
+
 TEST(GradientPacket, TrimIsIdempotent) {
   GradientPacket pkt;
   pkt.scheme = Scheme::kSign;

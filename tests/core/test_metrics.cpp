@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/metrics_export.h"
@@ -133,6 +135,79 @@ TEST(Metrics, ExportJsonHasAllSections) {
   EXPECT_NE(json.find("\"h\":{\"bounds\":[1,2],\"counts\":[0,1,0],\"total\":1}"),
             std::string::npos)
       << json;
+}
+
+TEST(Metrics, AlternatingRegistriesOnOneThreadStaySeparate) {
+  // The per-thread last-registry cache must switch shards on every change
+  // of registry, not keep writing into the one it saw first.
+  MetricsRegistry a;
+  MetricsRegistry b;
+  Counter ca = a.counter("n");
+  Counter cb = b.counter("n");
+  Histogram ha = a.histogram("h", {1.0});
+  for (int i = 0; i < 1000; ++i) {
+    ca.add(1);
+    cb.add(2);
+    ha.observe(0.5);
+  }
+  const auto sa = a.snapshot();
+  const auto sb = b.snapshot();
+  EXPECT_EQ(sa.counters[0].value, 1000u);
+  EXPECT_EQ(sb.counters[0].value, 2000u);
+  ASSERT_EQ(sa.histograms.size(), 1u);
+  EXPECT_EQ(sa.histograms[0].total, 1000u);
+  EXPECT_TRUE(sb.histograms.empty());
+}
+
+TEST(Metrics, RegistrationOnPoolWorkerKeepsConcurrentIncrementsExact) {
+  // One thread increments a counter nonstop while pool workers register new
+  // counters and histograms. Registration must not touch the incrementing
+  // thread's shard (it grows itself on its next add), so no increment is
+  // lost and the new metrics count exactly.
+  MetricsRegistry reg;
+  Counter hot = reg.counter("hot");
+  std::atomic<bool> started{false};
+  std::atomic<bool> registered{false};
+  std::uint64_t hot_adds = 0;
+  std::thread incrementer([&] {
+    started.store(true);
+    while (!registered.load()) {
+      hot.add();
+      ++hot_adds;
+    }
+    for (int i = 0; i < 1000; ++i) {
+      hot.add();
+      ++hot_adds;
+    }
+  });
+  while (!started.load()) std::this_thread::yield();
+  constexpr int kLate = 200;
+  {
+    ThreadPool pool(2);
+    pool.parallel_for(2, 1, [&](std::size_t b, std::size_t e) {
+      for (std::size_t chunk = b; chunk < e; ++chunk) {
+        const std::string tag = std::to_string(chunk) + ".";
+        for (int i = 0; i < kLate; ++i) {
+          reg.counter("late." + tag + std::to_string(i)).add(i + 1);
+          reg.histogram("late_h." + tag + std::to_string(i), {1.0})
+              .observe(0.5);
+        }
+      }
+    });
+  }
+  registered.store(true);
+  incrementer.join();
+
+  const auto snap = reg.snapshot();
+  ASSERT_EQ(snap.counters.size(), 1u + 2 * kLate);
+  EXPECT_EQ(snap.counters[0].value, hot_adds);
+  for (const auto& c : snap.counters) {
+    if (c.name == "hot") continue;
+    const std::string idx = c.name.substr(c.name.rfind('.') + 1);
+    EXPECT_EQ(c.value, std::stoull(idx) + 1) << c.name;
+  }
+  ASSERT_EQ(snap.histograms.size(), 2u * kLate);
+  for (const auto& h : snap.histograms) EXPECT_EQ(h.total, 1u) << h.name;
 }
 
 // Drive a registry from inside parallel_for workers at several pool sizes

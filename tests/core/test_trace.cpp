@@ -186,6 +186,18 @@ TEST(Trace, TimeSourceInjection) {
   EXPECT_EQ(log.now_seconds(), 0.0);  // back to the logical ticker
 }
 
+TEST(Trace, ClearTimeSourceOnlyClearsItsOwner) {
+  TraceLog log;
+  int first = 0;
+  int second = 0;
+  log.set_time_source([] { return 1.0; }, &first);
+  log.set_time_source([] { return 2.0; }, &second);
+  log.clear_time_source(&first);  // superseded owner: no-op
+  EXPECT_EQ(log.now_seconds(), 2.0);
+  log.clear_time_source(&second);
+  EXPECT_EQ(log.now_seconds(), 0.0);  // back to the logical ticker
+}
+
 TEST(Trace, DisabledLogDropsEvents) {
   TraceLog log;
   log.set_enabled(false);

@@ -2,8 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 namespace trimgrad::net {
 namespace {
+
+/// dequeue() as an optional, checking that front() named the same frame.
+std::optional<Frame> pop(EgressQueue& q) {
+  const Frame* head = q.front();
+  const std::uint64_t head_seq = head != nullptr ? head->seq : 0;
+  Frame f;
+  if (!q.dequeue(f)) {
+    EXPECT_EQ(head, nullptr);
+    return std::nullopt;
+  }
+  EXPECT_NE(head, nullptr);
+  EXPECT_EQ(f.seq, head_seq);
+  return f;
+}
 
 Frame data_frame(std::size_t size, std::size_t trim_size = 88) {
   Frame f;
@@ -46,9 +62,9 @@ TEST(DropTail, DequeueIsFifo) {
   b.seq = 2;
   q.enqueue(std::move(a));
   q.enqueue(std::move(b));
-  EXPECT_EQ(q.dequeue()->seq, 1u);
-  EXPECT_EQ(q.dequeue()->seq, 2u);
-  EXPECT_FALSE(q.dequeue().has_value());
+  EXPECT_EQ(pop(q)->seq, 1u);
+  EXPECT_EQ(pop(q)->seq, 2u);
+  EXPECT_FALSE(pop(q).has_value());
 }
 
 TEST(DropTail, ByteAccountingBalances) {
@@ -56,9 +72,9 @@ TEST(DropTail, ByteAccountingBalances) {
   q.enqueue(data_frame(1000));
   q.enqueue(data_frame(500));
   EXPECT_EQ(q.data_bytes(), 1500u);
-  q.dequeue();
+  pop(q);
   EXPECT_EQ(q.data_bytes(), 500u);
-  q.dequeue();
+  pop(q);
   EXPECT_EQ(q.data_bytes(), 0u);
   EXPECT_TRUE(q.empty());
 }
@@ -78,7 +94,7 @@ TEST(Trim, TrimmedFrameShrinksToTrimPoint) {
   q.enqueue(data_frame(1500));
   q.enqueue(data_frame(1500, 88));
   // Header queue has strict priority: the trimmed frame pops first.
-  const auto f = q.dequeue();
+  const auto f = pop(q);
   ASSERT_TRUE(f.has_value());
   EXPECT_TRUE(f->trimmed);
   EXPECT_EQ(f->size_bytes, 88u);
@@ -110,8 +126,8 @@ TEST(Trim, ControlFramesUseHeaderQueue) {
   q.enqueue(ack_frame());
   EXPECT_EQ(q.header_bytes(), kControlFrameBytes);
   // Strict priority: the ACK overtakes the queued data frame.
-  EXPECT_EQ(q.dequeue()->kind, FrameKind::kAck);
-  EXPECT_EQ(q.dequeue()->kind, FrameKind::kData);
+  EXPECT_EQ(pop(q)->kind, FrameKind::kAck);
+  EXPECT_EQ(pop(q)->kind, FrameKind::kData);
 }
 
 TEST(Trim, AlreadyTrimmedFramesJoinHeaderQueue) {
@@ -128,8 +144,8 @@ TEST(Ecn, MarksAboveThreshold) {
   EgressQueue q(small_cfg(QueuePolicy::kEcn));
   q.enqueue(data_frame(1500));  // below threshold: no mark
   q.enqueue(data_frame(1500));  // occupancy 1500 >= threshold: marked
-  auto a = q.dequeue();
-  auto b = q.dequeue();
+  auto a = pop(q);
+  auto b = pop(q);
   EXPECT_FALSE(a->ecn);
   EXPECT_TRUE(b->ecn);
   EXPECT_EQ(q.counters().ecn_marked, 1u);
@@ -147,7 +163,7 @@ TEST(Counters, MaxDataBytesHighWaterMark) {
   EgressQueue q(small_cfg(QueuePolicy::kDropTail));
   q.enqueue(data_frame(1000));
   q.enqueue(data_frame(1000));
-  q.dequeue();
+  pop(q);
   q.enqueue(data_frame(500));
   EXPECT_EQ(q.counters().max_data_bytes, 2000u);
 }

@@ -199,6 +199,44 @@ TEST_F(SimScaleDeterminism, FaultedRunBitIdenticalAcrossModes) {
   }
 }
 
+/// Endpoint that counts frames and keeps none of them.
+class PeekEndpoint : public FlowEndpoint {
+ public:
+  void on_frame(Frame&& frame) override { seqs.push_back(frame.seq); }
+  std::vector<std::uint32_t> seqs;
+};
+
+TEST_F(SimScaleDeterminism, CrossDomainCargoIsReleasedAfterParallelRun) {
+  // Pod 3 -> pod 0 crosses domains, so inside parallel windows every frame
+  // rides a scheduler's outbox to the barrier before it gets a slab slot in
+  // the destination domain. Neither may keep the payload alive.
+  core::ThreadPool::set_global_threads(2);
+  Simulator sim;
+  const FatTree ft = build_fat_tree(sim, 4, FabricConfig{});
+  partition_fat_tree(sim, ft);
+  sim.seal_partition();
+  sim.set_parallel_execution(true);
+  const NodeId src = ft.pod_hosts[3][0];
+  const NodeId dst = ft.pod_hosts[0][0];
+  ASSERT_NE(sim.node_domain(src), sim.node_domain(dst));
+  PeekEndpoint sink;
+  static_cast<Host&>(sim.node(dst)).bind(7, &sink);
+  const auto packet = std::make_shared<const core::GradientPacket>();
+  for (std::uint32_t i = 0; i < 16; ++i) {
+    Frame f;
+    f.src = src;
+    f.dst = dst;
+    f.flow_id = 7;
+    f.seq = i;
+    f.size_bytes = 1500;
+    f.cargo = packet;
+    static_cast<Host&>(sim.node(src)).send(std::move(f));
+  }
+  sim.run();
+  EXPECT_EQ(sink.seqs.size(), 16u);
+  EXPECT_EQ(packet.use_count(), 1);
+}
+
 TEST(SimScalePartition, SealRejectsZeroLatencyInterDomainLink) {
   Simulator sim;
   auto& a = sim.add_node<Host>("a");

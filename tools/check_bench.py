@@ -28,7 +28,9 @@ no-regression check on a single-core container.
 --simscale mode validates the BENCH_simscale.json produced by
 bench_simscale (the sharded-simulator scale benchmark).  The run must be
 bit-exact across execution modes (deterministic: true), its events/sec must
-not regress more than --max-slowdown below the baseline, and -- on machines
+not regress more than --max-slowdown below the baseline, its event count
+must equal the baseline's when both ran the same workload (k, hosts,
+smoke), and -- on machines
 with enough cores and a full-size (non-smoke) workload -- the sharded
 engine's best speedup over its own single-thread time must clear the
 hardware-capped --min-speedup floor.  Smoke workloads are too small to
@@ -211,6 +213,15 @@ def check_simscale(args):
         return
     base = load_json(args.baseline)
     validate_simscale(base, args.baseline)
+    # The event count is the engine's determinism fingerprint: on the same
+    # workload, a different count means the event order changed.
+    workload = ("k", "hosts", "smoke")
+    if all(cand.get(key) == base.get(key) for key in workload) \
+            and cand["events"] != base["events"]:
+        fail(2, f"event count {cand['events']} differs from the baseline's "
+                f"{base['events']} on the same workload (k={cand['k']}, "
+                f"hosts={cand['hosts']}, smoke={cand.get('smoke')}) -- the "
+                "engine's event order changed")
     base_eps = max(base["events_per_sec"])
     ratio = base_eps / best_eps
     print(f"check_bench: events/sec: baseline {base_eps:.3g}, "

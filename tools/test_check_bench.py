@@ -224,6 +224,26 @@ class SimscaleModeTest(CheckBenchHarness):
         proc = self.run_check("--simscale", cand, "--baseline", base)
         self.assert_clean_failure(proc, 2, "events/sec regressed")
 
+    def test_event_count_mismatch_exits_two(self):
+        # Same k/hosts/smoke but a different event count: the event order
+        # changed, however fast the run was.
+        drift = copy.deepcopy(SIMSCALE_DOC)
+        drift["events"] = SIMSCALE_DOC["events"] + 1
+        cand = self.write("cand.json", drift)
+        base = self.write("base.json", SIMSCALE_DOC)
+        proc = self.run_check("--simscale", cand, "--baseline", base)
+        self.assert_clean_failure(proc, 2, "event count")
+
+    def test_event_count_compared_only_on_same_workload(self):
+        # A CI smoke run (k=8) against the committed full-size baseline
+        # (k=16) has a different event count by construction.
+        smoke = copy.deepcopy(SIMSCALE_DOC)
+        smoke.update(smoke=True, k=8, hosts=128, events=123456)
+        cand = self.write("cand.json", smoke)
+        base = self.write("base.json", SIMSCALE_DOC)
+        proc = self.run_check("--simscale", cand, "--baseline", base)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+
 
 class ChaosSearchModeTest(CheckBenchHarness):
     def test_clean_search_passes(self):
