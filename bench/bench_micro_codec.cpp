@@ -1,7 +1,8 @@
 // Experiment X3 (DESIGN.md): microbenchmarks of the codec hot paths
 // (google-benchmark). These quantify the "low computational overhead" claim
 // at the primitive level: FWHT throughput, per-scheme encode/decode rates,
-// bit packing.
+// bit packing — plus the training-side GEMM kernels that share the SIMD
+// dispatch layer (TRIMGRAD_SIMD=scalar times the scalar reference).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -14,7 +15,9 @@
 #include "core/metrics_export.h"
 #include "core/quantizer.h"
 #include "core/rht_codec.h"
+#include "core/simd.h"
 #include "core/trace.h"
+#include "ml/tensor.h"
 
 using namespace trimgrad::core;
 
@@ -38,6 +41,60 @@ void BM_Fwht(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_Fwht)->Arg(1 << 10)->Arg(1 << 12)->Arg(1 << 15)->Arg(1 << 17);
+
+// The three GEMMs at the mini-VGG conv shapes (width 6 on 16×16 inputs),
+// one sample's worth each: Args are {cout, ck = cin*9, hw}. Items are
+// multiply-adds, so items/s reads as MAC/s.
+//   GemmAccumulate: forward,  out(cout×hw)   += W · cols
+//   GemmAtB:        backward, dcols(ck×hw)   += Wᵀ · gout
+//   GemmABt:        backward, dW(cout×ck)    += gout · colsᵀ
+enum class GemmKind { kAccumulate, kAtB, kABt };
+
+template <GemmKind kKind>
+void BM_Gemm(benchmark::State& state) {
+  const auto cout = static_cast<std::size_t>(state.range(0));
+  const auto ck = static_cast<std::size_t>(state.range(1));
+  const auto hw = static_cast<std::size_t>(state.range(2));
+  const auto w = gaussian_vec(cout * ck, 11);
+  const auto cols = gaussian_vec(ck * hw, 12);
+  const auto gout = gaussian_vec(cout * hw, 13);
+  const std::size_t c_size = kKind == GemmKind::kAccumulate ? cout * hw
+                             : kKind == GemmKind::kAtB      ? ck * hw
+                                                            : cout * ck;
+  std::vector<float> c(c_size);
+  for (auto _ : state) {
+    if constexpr (kKind == GemmKind::kAccumulate) {
+      trimgrad::ml::gemm_accumulate(w.data(), cols.data(), c.data(), cout, ck, hw);
+    } else if constexpr (kKind == GemmKind::kAtB) {
+      trimgrad::ml::gemm_at_b(w.data(), gout.data(), c.data(), cout, ck, hw);
+    } else {
+      trimgrad::ml::gemm_a_bt(gout.data(), cols.data(), c.data(), cout, hw, ck);
+    }
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(simd::to_string(simd::active_isa()));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(cout * ck * hw));
+}
+
+void mini_vgg_conv_shapes(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"cout", "ck", "hw"});
+  b->Args({6, 27, 256});
+  b->Args({6, 54, 256});
+  b->Args({12, 54, 64});
+  b->Args({12, 108, 64});
+  b->Args({24, 108, 16});
+}
+BENCHMARK_TEMPLATE(BM_Gemm, GemmKind::kAccumulate)
+    ->Name("BM_GemmAccumulate")
+    ->Apply(mini_vgg_conv_shapes);
+BENCHMARK_TEMPLATE(BM_Gemm, GemmKind::kAtB)
+    ->Name("BM_GemmAtB")
+    ->Apply(mini_vgg_conv_shapes);
+BENCHMARK_TEMPLATE(BM_Gemm, GemmKind::kABt)
+    ->Name("BM_GemmABt")
+    ->Apply(mini_vgg_conv_shapes);
 
 void BM_RhtEncodeRow(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -1,9 +1,11 @@
 #include "core/simd.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 #if defined(__x86_64__) || defined(_M_X64)
 #define TRIMGRAD_SIMD_X86 1
@@ -110,6 +112,106 @@ void encode_sd_scalar(const float* v, const float* dither, std::size_t n,
     heads[i] = v[i] + dither[i] >= 0.0f ? 1 : 0;
     const std::uint32_t b = f2b(v[i]);
     tails[i] = ((b >> 31) << 30) | ((b & kMagMask) >> 1);
+  }
+}
+
+/// Cache block over the reduction dimension for the scalar gemm_nn: a
+/// kKc×n slab of B stays hot across every row. Blocking only regroups the
+/// kk loop — each C element still accumulates in ascending kk.
+constexpr std::size_t kKc = 128;
+
+/// Scalar gemm_nn over ncols columns whose B and C rows are ld apart (the
+/// AVX2 body hands it the columns left over after its 8-wide blocks).
+void gemm_nn_cols(const float* a, std::size_t a_row, std::size_t a_col,
+                  const float* b, float* c, std::size_t ld, std::size_t rows,
+                  std::size_t k, std::size_t ncols) noexcept {
+  for (std::size_t k0 = 0; k0 < k; k0 += kKc) {
+    const std::size_t k1 = std::min(k, k0 + kKc);
+    for (std::size_t i = 0; i < rows; ++i) {
+      float* crow = c + i * ld;
+      for (std::size_t kk = k0; kk < k1; ++kk) {
+        const float av = a[i * a_row + kk * a_col];
+        if (av == 0.0f) continue;
+        const float* brow = b + kk * ld;
+        for (std::size_t j = 0; j < ncols; ++j) crow[j] += av * brow[j];
+      }
+    }
+  }
+}
+
+void gemm_nt_scalar(const float* a, const float* b, float* c,
+                    std::size_t rows, std::size_t k, std::size_t n) noexcept {
+  // Per-element dot products; the 2×2 register tile reuses each loaded A/B
+  // value twice, and every element keeps its own accumulator.
+  std::size_t i = 0;
+  for (; i + 1 < rows; i += 2) {
+    const float* ar0 = a + i * k;
+    const float* ar1 = ar0 + k;
+    float* cr0 = c + i * n;
+    float* cr1 = cr0 + n;
+    std::size_t j = 0;
+    for (; j + 1 < n; j += 2) {
+      const float* br0 = b + j * k;
+      const float* br1 = br0 + k;
+      float s00 = 0.0f, s01 = 0.0f, s10 = 0.0f, s11 = 0.0f;
+      for (std::size_t kk = 0; kk < k; ++kk) {
+        const float a0 = ar0[kk];
+        const float a1 = ar1[kk];
+        const float b0 = br0[kk];
+        const float b1 = br1[kk];
+        s00 += a0 * b0;
+        s01 += a0 * b1;
+        s10 += a1 * b0;
+        s11 += a1 * b1;
+      }
+      cr0[j] += s00;
+      cr0[j + 1] += s01;
+      cr1[j] += s10;
+      cr1[j + 1] += s11;
+    }
+    for (; j < n; ++j) {
+      const float* brow = b + j * k;
+      float s0 = 0.0f, s1 = 0.0f;
+      for (std::size_t kk = 0; kk < k; ++kk) {
+        s0 += ar0[kk] * brow[kk];
+        s1 += ar1[kk] * brow[kk];
+      }
+      cr0[j] += s0;
+      cr1[j] += s1;
+    }
+  }
+  for (; i < rows; ++i) {
+    const float* arow = a + i * k;
+    float* crow = c + i * n;
+    for (std::size_t j = 0; j < n; ++j) {
+      const float* brow = b + j * k;
+      float acc = 0.0f;
+      for (std::size_t kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
+      crow[j] += acc;
+    }
+  }
+}
+
+void accumulate_scalar(float* dst, const float* src, std::size_t n) noexcept {
+  for (std::size_t i = 0; i < n; ++i) dst[i] += src[i];
+}
+
+void relu_forward_scalar(float* x, std::uint8_t* mask,
+                         std::size_t n) noexcept {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (x[i] > 0.0f) {
+      mask[i] = 1;
+    } else {
+      x[i] = 0.0f;
+      mask[i] = 0;
+    }
+  }
+}
+
+void relu_backward_scalar(float* g, const std::uint8_t* mask,
+                          std::size_t n) noexcept {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (mask[i] == 0) g[i] = 0.0f;
   }
 }
 
@@ -242,6 +344,212 @@ TG_AVX2 void encode_sd_avx2(const float* v, const float* dither,
                         _mm256_or_si256(sgn, em));
   }
   if (i < n) encode_sd_scalar(v + i, dither + i, n - i, heads + i, tails + i);
+}
+
+// GEMM register tiles. gemm_nn: R rows × V vectors of 8 C columns, held in
+// registers across the whole kk loop; each lane is one C element running
+// c += a * b in ascending kk with the scalar reference's a == 0 skip (the
+// skip tests one A value, so it is uniform across the row's lanes).
+template <int R, int V>
+TG_AVX2 inline void gemm_nn_tile(const float* a, std::size_t a_row,
+                                 std::size_t a_col, const float* b,
+                                 float* c, std::size_t n,
+                                 std::size_t k) noexcept {
+  __m256 acc[R][V];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r)
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v)
+      acc[r][v] = _mm256_loadu_ps(c + r * n + v * 8);
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    __m256 bv[V];
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) bv[v] = _mm256_loadu_ps(b + kk * n + v * 8);
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const float av = a[r * a_row + kk * a_col];
+      if (av == 0.0f) continue;
+      const __m256 avb = _mm256_set1_ps(av);
+#pragma GCC unroll 2
+      for (int v = 0; v < V; ++v)
+        acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(avb, bv[v]));
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r)
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v)
+      _mm256_storeu_ps(c + r * n + v * 8, acc[r][v]);
+}
+
+/// The leftover rows mod 4, as one tile of exactly that height.
+template <int R, int V>
+TG_AVX2 inline void gemm_nn_tail(std::size_t rows, const float* a,
+                                 std::size_t a_row, std::size_t a_col,
+                                 const float* b, float* c, std::size_t n,
+                                 std::size_t k) noexcept {
+  if constexpr (R > 0) {
+    if (rows == R) return gemm_nn_tile<R, V>(a, a_row, a_col, b, c, n, k);
+    gemm_nn_tail<R - 1, V>(rows, a, a_row, a_col, b, c, n, k);
+  }
+}
+
+template <int V>
+TG_AVX2 inline void gemm_nn_panel(const float* a, std::size_t a_row,
+                                  std::size_t a_col, const float* b, float* c,
+                                  std::size_t rows, std::size_t k,
+                                  std::size_t n) noexcept {
+  std::size_t i = 0;
+  for (; i + 4 <= rows; i += 4)
+    gemm_nn_tile<4, V>(a + i * a_row, a_row, a_col, b, c + i * n, n, k);
+  gemm_nn_tail<3, V>(rows - i, a + i * a_row, a_row, a_col, b, c + i * n, n,
+                     k);
+}
+
+TG_AVX2 void gemm_nn_avx2(const float* a, std::size_t a_row,
+                          std::size_t a_col, const float* b, float* c,
+                          std::size_t rows, std::size_t k,
+                          std::size_t n) noexcept {
+  // Column panels outer, so a k×16 panel of B stays in L1 across every row
+  // group; leftover columns (n mod 8) take the scalar reference.
+  std::size_t j = 0;
+  for (; j + 16 <= n; j += 16)
+    gemm_nn_panel<2>(a, a_row, a_col, b + j, c + j, rows, k, n);
+  for (; j + 8 <= n; j += 8)
+    gemm_nn_panel<1>(a, a_row, a_col, b + j, c + j, rows, k, n);
+  if (j < n) gemm_nn_cols(a, a_row, a_col, b + j, c + j, n, rows, k, n - j);
+}
+
+// gemm_nt: lanes run over C *rows*, so the B rows (n×k) are read in their
+// stored order, one broadcast per kk, and only Aᵀ needs packing. Tile:
+// R C columns × V vectors of 8 C rows; each lane sums a * b from +0 in
+// ascending kk and is added to C once at the end, as in the reference.
+template <int R, int V>
+TG_AVX2 inline void gemm_nt_tile(const float* at, std::size_t ld_at,
+                                 const float* b, float* c, std::size_t n,
+                                 std::size_t rows, std::size_t k) noexcept {
+  __m256 acc[R][V];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r)
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) acc[r][v] = _mm256_setzero_ps();
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    __m256 av[V];
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) av[v] = _mm256_loadu_ps(at + kk * ld_at + v * 8);
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const __m256 bb = _mm256_set1_ps(b[r * k + kk]);
+#pragma GCC unroll 2
+      for (int v = 0; v < V; ++v)
+        acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(av[v], bb));
+    }
+  }
+  // Lane l of acc[r][v] is C(v*8 + l, r): add the finished sums into C.
+  for (int v = 0; v < V; ++v) {
+    const std::size_t lanes =
+        std::min<std::size_t>(8, rows - static_cast<std::size_t>(v) * 8);
+    for (int r = 0; r < R; ++r) {
+      alignas(32) float sum[8];
+      _mm256_store_ps(sum, acc[r][v]);
+      for (std::size_t l = 0; l < lanes; ++l)
+        c[(static_cast<std::size_t>(v) * 8 + l) * n + r] += sum[l];
+    }
+  }
+}
+
+/// The leftover n mod R columns, as one tile of exactly that width.
+template <int R, int V>
+TG_AVX2 inline void gemm_nt_tail(std::size_t cols, const float* at,
+                                 std::size_t ld_at, const float* b, float* c,
+                                 std::size_t n, std::size_t rows,
+                                 std::size_t k) noexcept {
+  if constexpr (R > 0) {
+    if (cols == R) return gemm_nt_tile<R, V>(at, ld_at, b, c, n, rows, k);
+    gemm_nt_tail<R - 1, V>(cols, at, ld_at, b, c, n, rows, k);
+  }
+}
+
+template <int R, int V>
+TG_AVX2 inline void gemm_nt_panel(const float* at, std::size_t ld_at,
+                                  const float* b, float* c, std::size_t n,
+                                  std::size_t rows, std::size_t k) noexcept {
+  std::size_t j = 0;
+  for (; j + R <= n; j += R)
+    gemm_nt_tile<R, V>(at, ld_at, b + j * k, c + j, n, rows, k);
+  gemm_nt_tail<R - 1, V>(n - j, at, ld_at, b + j * k, c + j, n, rows, k);
+}
+
+TG_AVX2 void gemm_nt_avx2(const float* a, const float* b, float* c,
+                          std::size_t rows, std::size_t k,
+                          std::size_t n) noexcept {
+  // k == 0 only adds +0 to each element; the scalar reference does that
+  // without touching the (possibly still empty) pack buffer.
+  if (k == 0) return gemm_nt_scalar(a, b, c, rows, k, n);
+  // Aᵀ packed k × ld_at, rows padded to whole vectors with +0 (the padding
+  // lanes are computed and dropped). Grow-only and owned by this thread, so
+  // pool workers never share it and steady-state calls never allocate.
+  thread_local std::vector<float> pack;
+  const std::size_t ld_at = (rows + 7) & ~std::size_t{7};
+  if (pack.size() < k * ld_at) pack.resize(k * ld_at);
+  float* at = pack.data();
+  for (std::size_t i = 0; i < rows; ++i) {
+    const float* arow = a + i * k;
+    for (std::size_t kk = 0; kk < k; ++kk) at[kk * ld_at + i] = arow[kk];
+  }
+  for (std::size_t i = rows; i < ld_at; ++i) {
+    for (std::size_t kk = 0; kk < k; ++kk) at[kk * ld_at + i] = 0.0f;
+  }
+  std::size_t v = 0;
+  const std::size_t vecs = ld_at / 8;
+  for (; v + 2 <= vecs; v += 2)
+    gemm_nt_panel<4, 2>(at + v * 8, ld_at, b, c + v * 8 * n, n, rows - v * 8,
+                        k);
+  if (v < vecs)
+    gemm_nt_panel<8, 1>(at + v * 8, ld_at, b, c + v * 8 * n, n, rows - v * 8,
+                        k);
+}
+
+TG_AVX2 void accumulate_avx2(float* dst, const float* src,
+                             std::size_t n) noexcept {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(dst + i, _mm256_add_ps(_mm256_loadu_ps(dst + i),
+                                            _mm256_loadu_ps(src + i)));
+  }
+  if (i < n) accumulate_scalar(dst + i, src + i, n - i);
+}
+
+TG_AVX2 void relu_forward_avx2(float* x, std::uint8_t* mask,
+                               std::size_t n) noexcept {
+  const __m256 zero = _mm256_setzero_ps();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 v = _mm256_loadu_ps(x + i);
+    // Ordered greater-than: false for -0, +0 and NaN, so those lanes are
+    // and-ed down to +0 exactly as the scalar branch stores 0.0f.
+    const __m256 keep = _mm256_cmp_ps(v, zero, _CMP_GT_OQ);
+    _mm256_storeu_ps(x + i, _mm256_and_ps(v, keep));
+    const std::uint64_t m = static_cast<unsigned>(_mm256_movemask_ps(keep));
+    const std::uint64_t spread = (m * kByteOnes) & kLsbSpread;
+    const std::uint64_t bytes =
+        ((spread + 0x7f7f7f7f7f7f7f7full) >> 7) & kByteOnes;
+    std::memcpy(mask + i, &bytes, 8);
+  }
+  if (i < n) relu_forward_scalar(x + i, mask + i, n - i);
+}
+
+TG_AVX2 void relu_backward_avx2(float* g, const std::uint8_t* mask,
+                                std::size_t n) noexcept {
+  const __m256i zero = _mm256_setzero_si256();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256i m = _mm256_cvtepu8_epi32(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(mask + i)));
+    const __m256 drop = _mm256_castsi256_ps(_mm256_cmpeq_epi32(m, zero));
+    _mm256_storeu_ps(g + i, _mm256_andnot_ps(drop, _mm256_loadu_ps(g + i)));
+  }
+  if (i < n) relu_backward_scalar(g + i, mask + i, n - i);
 }
 
 bool cpu_has_avx2() noexcept { return __builtin_cpu_supports("avx2"); }
@@ -429,6 +737,46 @@ void encode_sd(const float* v, const float* dither, std::size_t n,
     return encode_sd_avx2(v, dither, n, heads, tails);
 #endif
   encode_sd_scalar(v, dither, n, heads, tails);
+}
+
+void gemm_nn(const float* a, std::size_t a_row, std::size_t a_col,
+             const float* b, float* c, std::size_t rows, std::size_t k,
+             std::size_t n) noexcept {
+#if TRIMGRAD_SIMD_X86
+  if (active_isa() == Isa::kAvx2)
+    return gemm_nn_avx2(a, a_row, a_col, b, c, rows, k, n);
+#endif
+  gemm_nn_cols(a, a_row, a_col, b, c, n, rows, k, n);
+}
+
+void gemm_nt(const float* a, const float* b, float* c, std::size_t rows,
+             std::size_t k, std::size_t n) noexcept {
+#if TRIMGRAD_SIMD_X86
+  if (active_isa() == Isa::kAvx2) return gemm_nt_avx2(a, b, c, rows, k, n);
+#endif
+  gemm_nt_scalar(a, b, c, rows, k, n);
+}
+
+void accumulate(float* dst, const float* src, std::size_t n) noexcept {
+#if TRIMGRAD_SIMD_X86
+  if (active_isa() == Isa::kAvx2) return accumulate_avx2(dst, src, n);
+#endif
+  accumulate_scalar(dst, src, n);
+}
+
+void relu_forward(float* x, std::uint8_t* mask, std::size_t n) noexcept {
+#if TRIMGRAD_SIMD_X86
+  if (active_isa() == Isa::kAvx2) return relu_forward_avx2(x, mask, n);
+#endif
+  relu_forward_scalar(x, mask, n);
+}
+
+void relu_backward(float* g, const std::uint8_t* mask,
+                   std::size_t n) noexcept {
+#if TRIMGRAD_SIMD_X86
+  if (active_isa() == Isa::kAvx2) return relu_backward_avx2(g, mask, n);
+#endif
+  relu_backward_scalar(g, mask, n);
 }
 
 }  // namespace trimgrad::core::simd

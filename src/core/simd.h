@@ -1,14 +1,16 @@
-// SIMD kernel dispatch for the codec hot paths.
+// SIMD kernel dispatch for the codec and training hot paths.
 //
 // Every inner loop that moves a gradient coordinate — FWHT butterflies,
-// sign/magnitude splits, scalar-scheme bulk encodes — funnels through this
-// header so there is exactly one place where instruction sets are chosen.
-// Three implementations exist per kernel:
+// sign/magnitude splits, scalar-scheme bulk encodes — and every hot loop
+// of the ML layers — the three GEMMs, ReLU, col2im's accumulate — funnels
+// through this header so there is exactly one place where instruction sets
+// are chosen. Up to three implementations exist per kernel:
 //
 //   * AVX2 (x86-64)  — compiled with per-function target attributes, so the
 //     default build carries the vector code even without -mavx2; it is only
 //     *executed* after a runtime cpuid check.
-//   * NEON (aarch64) — compiled when __ARM_NEON is available.
+//   * NEON (aarch64) — compiled when __ARM_NEON is available; only fwht and
+//     split_sign_mag have one, the other kernels run their scalar reference.
 //   * scalar         — the reference; always compiled, always available.
 //
 // Dispatch policy: at first use the active ISA is resolved as
@@ -19,14 +21,18 @@
 // rebuild. set_isa() does the same programmatically (tests/benches).
 //
 // Determinism contract: every kernel here is *lane-parallel over
-// independent elements* — element i of the output depends only on element i
-// of the inputs, through the exact same IEEE-754 operations the scalar
-// reference performs (adds/subs/divides/compares/bit twiddles; never a
-// reassociated reduction). Vector and scalar paths therefore produce
-// bit-identical results, which is what lets SIMD-vs-scalar builds (and any
-// TRIMGRAD_THREADS) decode each other's packets exactly. Reductions with
+// independent elements* — each output element is computed in one lane
+// through the exact same sequence of IEEE-754 operations the scalar
+// reference performs (adds/subs/muls/divides/compares/bit twiddles, each
+// rounded on its own: never an FMA, never a reassociated reduction). For
+// the elementwise kernels element i depends only on element i of the
+// inputs; a GEMM lane runs one C element's whole ascending-k sequence.
+// Vector and scalar paths therefore produce bit-identical results, which
+// is what lets SIMD-vs-scalar builds (and any TRIMGRAD_THREADS) decode each
+// other's packets and train the same weights. Reductions with
 // order-sensitive rounding (row norms) deliberately stay scalar in their
-// callers. tests/core/simd_test.cpp enforces the contract kernel by kernel.
+// callers. tests/core/simd_test.cpp and tests/ml/tensor_test.cpp enforce
+// the contract kernel by kernel.
 #pragma once
 
 #include <cstddef>
@@ -77,5 +83,42 @@ void join_sign_mag(const std::uint8_t* heads, const std::uint32_t* tails,
 /// tails[i] = sign(1) | exponent(8) | mantissa[22..1] of v[i] (31 bits).
 void encode_sd(const float* v, const float* dither, std::size_t n,
                std::uint8_t* heads, std::uint32_t* tails) noexcept;
+
+// ---- GEMM micro-kernels (ml/tensor.cpp) ----------------------------------
+//
+// Each output element is computed by the same IEEE-754 sequence on every
+// path: products and sums are separate roundings in ascending kk, never an
+// FMA and never a reassociated reduction. The vector bodies keep one
+// element per lane (across output columns for gemm_nn, across output rows
+// for gemm_nt) and hold the running value in a register for the whole kk
+// loop, which the scalar reference does in memory.
+
+/// C(rows×n) += A·B with B k×n row-major and A(i, kk) read from
+/// a[i * a_row + kk * a_col] (so A may be stored transposed). Every C
+/// element accumulates c += a * b directly, in ascending kk, and terms with
+/// a == 0 are skipped — which keeps a -0 in C and keeps an Inf/NaN in B out
+/// of C.
+void gemm_nn(const float* a, std::size_t a_row, std::size_t a_col,
+             const float* b, float* c, std::size_t rows, std::size_t k,
+             std::size_t n) noexcept;
+
+/// C(rows×n) += A(rows×k)·Bᵀ with B stored n×k: every C element is a dot
+/// product summed from +0 in ascending kk, then added to C once. The AVX2
+/// body packs Aᵀ into a grow-only scratch buffer owned by the calling
+/// thread (no allocation once it has grown to the largest shape).
+void gemm_nt(const float* a, const float* b, float* c, std::size_t rows,
+             std::size_t k, std::size_t n) noexcept;
+
+// ---- elementwise float kernels (ml/layers.cpp) ----------------------------
+
+/// dst[i] += src[i] for i < n; the ranges must not overlap.
+void accumulate(float* dst, const float* src, std::size_t n) noexcept;
+
+/// In place: x[i] = x[i] > 0 ? x[i] : +0 (so -0 and NaN become +0), and
+/// mask[i] = 1 exactly where x[i] was kept.
+void relu_forward(float* x, std::uint8_t* mask, std::size_t n) noexcept;
+
+/// In place: g[i] = mask[i] != 0 ? g[i] : +0.
+void relu_backward(float* g, const std::uint8_t* mask, std::size_t n) noexcept;
 
 }  // namespace trimgrad::core::simd

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <span>
 
+#include "core/simd.h"
+
 namespace trimgrad::ml {
 
 namespace {
@@ -58,22 +60,14 @@ Tensor Linear::backward(const Tensor& grad_out) {
 
 Tensor ReLU::forward(const Tensor& x) {
   Tensor y = x;
-  mask_.assign(x.size(), 0);
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    if (y.data[i] > 0.0f) {
-      mask_[i] = 1;
-    } else {
-      y.data[i] = 0.0f;
-    }
-  }
+  mask_.resize(y.size());
+  core::simd::relu_forward(y.ptr(), mask_.data(), y.size());
   return y;
 }
 
 Tensor ReLU::backward(const Tensor& grad_out) {
   Tensor dx = grad_out;
-  for (std::size_t i = 0; i < dx.size(); ++i) {
-    if (mask_[i] == 0) dx.data[i] = 0.0f;
-  }
+  core::simd::relu_backward(dx.ptr(), mask_.data(), dx.size());
   return dx;
 }
 
@@ -87,7 +81,39 @@ Conv2d::Conv2d(std::size_t in_ch, std::size_t out_ch, core::Xoshiro256& rng)
 
 namespace {
 
-/// im2col for 3×3/stride1/pad1: cols[(c*9 + k)][h*W + w] = x[c][h+dh][w+dw].
+/// Tap (dh, dw) of the 3×3/pad-1 kernel over an h×w plane: output pixel i
+/// reads plane index i + shift. The pixels whose read lands in the plane
+/// are the contiguous run [first, last), minus one column per row where the
+/// shift wraps across a row end (column 0 for dw < 0, w-1 for dw > 0);
+/// those wrapped entries, like everything outside the run, are padding.
+struct Tap {
+  std::size_t first = 0, last = 0;
+  std::ptrdiff_t shift;
+  std::size_t y0, y1, pad_x;
+  bool wraps;
+
+  Tap(int dh, int dw, std::size_t h, std::size_t w)
+      : shift(dh * static_cast<std::ptrdiff_t>(w) + dw),
+        y0(dh < 0 ? 1 : 0), y1(dh > 0 ? h - 1 : h), pad_x(dw < 0 ? 0 : w - 1),
+        wraps(dw != 0) {
+    const std::size_t x0 = dw < 0 ? 1 : 0;
+    const std::size_t x1 = dw > 0 ? w - 1 : w;
+    if (y0 < y1 && x0 < x1) {  // else the plane is too thin for this tap
+      first = y0 * w + x0;
+      last = (y1 - 1) * w + x1;
+    }
+  }
+
+  /// Sets the wrapped entries of one tap row (hw long) to +0.
+  void zero_wrapped(float* row, std::size_t w) const {
+    if (!wraps) return;
+    for (std::size_t y = y0; y < y1; ++y) row[y * w + pad_x] = 0.0f;
+  }
+};
+
+/// im2col for 3×3/stride1/pad1: cols[(c*9 + k)][h*W + w] = x[c][h+dh][w+dw],
+/// 0 outside the image. Per tap: one contiguous copy of the shifted run,
+/// then the padding around it and in its wrapped column is zeroed.
 void im2col_3x3(const float* x, std::size_t c_in, std::size_t h,
                 std::size_t w, float* cols) {
   const std::size_t hw = h * w;
@@ -97,46 +123,40 @@ void im2col_3x3(const float* x, std::size_t c_in, std::size_t h,
       for (int dw = -1; dw <= 1; ++dw) {
         const std::size_t k = static_cast<std::size_t>((dh + 1) * 3 + (dw + 1));
         float* crow = cols + (c * 9 + k) * hw;
-        for (std::size_t y = 0; y < h; ++y) {
-          const int sy = static_cast<int>(y) + dh;
-          if (sy < 0 || sy >= static_cast<int>(h)) {
-            std::memset(crow + y * w, 0, w * sizeof(float));
-            continue;
-          }
-          for (std::size_t xx = 0; xx < w; ++xx) {
-            const int sx = static_cast<int>(xx) + dw;
-            crow[y * w + xx] =
-                (sx < 0 || sx >= static_cast<int>(w))
-                    ? 0.0f
-                    : plane[static_cast<std::size_t>(sy) * w +
-                            static_cast<std::size_t>(sx)];
-          }
+        const Tap tap(dh, dw, h, w);
+        std::memset(crow, 0, tap.first * sizeof(float));
+        if (tap.first < tap.last) {
+          std::memcpy(crow + tap.first, plane + tap.first + tap.shift,
+                      (tap.last - tap.first) * sizeof(float));
         }
+        std::memset(crow + tap.last, 0, (hw - tap.last) * sizeof(float));
+        tap.zero_wrapped(crow, w);
       }
     }
   }
 }
 
-/// Transpose of im2col: scatter-add column gradients back to the image.
-void col2im_3x3(const float* cols, std::size_t c_in, std::size_t h,
-                std::size_t w, float* dx) {
+/// Transpose of im2col: scatter-add column gradients back to the image,
+/// per tap one contiguous add of the shifted run. Its wrapped entries are
+/// gradients of padding and are first set to +0 in `cols` (scratch). dx
+/// starts at +0 and only ever has values added to it, so no element is
+/// ever -0 and adding +0 leaves every element's bits unchanged: the result
+/// equals skipping those entries. Each image element receives its taps in
+/// ascending k order.
+void col2im_3x3(float* cols, std::size_t c_in, std::size_t h, std::size_t w,
+                float* dx) {
   const std::size_t hw = h * w;
   for (std::size_t c = 0; c < c_in; ++c) {
     float* plane = dx + c * hw;
     for (int dh = -1; dh <= 1; ++dh) {
       for (int dw = -1; dw <= 1; ++dw) {
         const std::size_t k = static_cast<std::size_t>((dh + 1) * 3 + (dw + 1));
-        const float* crow = cols + (c * 9 + k) * hw;
-        for (std::size_t y = 0; y < h; ++y) {
-          const int sy = static_cast<int>(y) + dh;
-          if (sy < 0 || sy >= static_cast<int>(h)) continue;
-          for (std::size_t xx = 0; xx < w; ++xx) {
-            const int sx = static_cast<int>(xx) + dw;
-            if (sx < 0 || sx >= static_cast<int>(w)) continue;
-            plane[static_cast<std::size_t>(sy) * w +
-                  static_cast<std::size_t>(sx)] += crow[y * w + xx];
-          }
-        }
+        float* crow = cols + (c * 9 + k) * hw;
+        const Tap tap(dh, dw, h, w);
+        if (tap.first == tap.last) continue;
+        tap.zero_wrapped(crow, w);
+        core::simd::accumulate(plane + tap.first + tap.shift, crow + tap.first,
+                               tap.last - tap.first);
       }
     }
   }
@@ -150,8 +170,8 @@ Tensor Conv2d::forward(const Tensor& x) {
   const std::size_t w = x.dim(3);
   const std::size_t hw = h * w;
   const std::size_t ck = cin_ * 9;
-  x_cache_ = x;
-  cols_cache_.assign(batch * ck * hw, 0.0f);
+  // im2col writes every element, padding included: no zero-fill needed.
+  cols_cache_.resize(batch * ck * hw);
   Tensor y({batch, cout_, h, w});
   for (std::size_t bidx = 0; bidx < batch; ++bidx) {
     float* cols = cols_cache_.data() + bidx * ck * hw;
@@ -181,11 +201,15 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     const float* cols = cols_cache_.data() + bidx * ck * hw;
     // dW(cout×ck) += gout(cout×hw) · colsᵀ(hw×ck).
     gemm_a_bt(gout, cols, gw_.data(), cout_, hw, ck);
-    for (std::size_t f = 0; f < cout_; ++f) {
-      const float* plane = gout + f * hw;
-      float acc = 0.0f;
-      for (std::size_t i = 0; i < hw; ++i) acc += plane[i];
-      gb_[f] += acc;
+    // db(f) += Σ_i gout(f, i), each summed from +0 in ascending i; eight
+    // planes at a time so their add chains overlap instead of queueing.
+    for (std::size_t f0 = 0; f0 < cout_; f0 += 8) {
+      const std::size_t nf = std::min<std::size_t>(8, cout_ - f0);
+      float acc[8] = {};
+      for (std::size_t i = 0; i < hw; ++i) {
+        for (std::size_t f = 0; f < nf; ++f) acc[f] += gout[(f0 + f) * hw + i];
+      }
+      for (std::size_t f = 0; f < nf; ++f) gb_[f0 + f] += acc[f];
     }
     // dcols(ck×hw) = Wᵀ(ck×cout) · gout(cout×hw).
     std::fill(dcols.begin(), dcols.end(), 0.0f);
@@ -217,11 +241,11 @@ Tensor MaxPool2d::forward(const Tensor& x) {
         float best = in[best_idx];
         for (int dy = 0; dy < 2; ++dy) {
           for (int dxx = 0; dxx < 2; ++dxx) {
+            // Selects, not a branch: which pixel wins is data-dependent.
             const std::size_t idx = (2 * oy + dy) * w + 2 * ox + dxx;
-            if (in[idx] > best) {
-              best = in[idx];
-              best_idx = idx;
-            }
+            const bool gt = in[idx] > best;
+            best = gt ? in[idx] : best;
+            best_idx = gt ? idx : best_idx;
           }
         }
         out[oy * ow + ox] = best;

@@ -77,7 +77,6 @@ class Conv2d : public Layer {
  private:
   std::size_t cin_, cout_;
   std::vector<float> w_, b_, gw_, gb_;  ///< w: [cout, cin*9]
-  Tensor x_cache_;
   std::vector<float> cols_cache_;  ///< im2col of the whole batch
 };
 

@@ -2,18 +2,12 @@
 
 #include <algorithm>
 
+#include "core/simd.h"
 #include "core/threadpool.h"
 
 namespace trimgrad::ml {
 
 namespace {
-
-/// Cache block over the reduction dimension: a kKc×n slab of B stays hot
-/// across every output row of a chunk. Blocking only regroups the kk loop —
-/// for any output element the accumulation still runs in ascending kk
-/// order, so results are bit-identical to the unblocked kernels for every
-/// thread count (see threadpool.h's determinism contract).
-constexpr std::size_t kKc = 128;
 
 /// Minimum multiply-adds per parallel chunk; below this the dispatch
 /// overhead dominates and parallel_for degrades to an inline call. Retuned
@@ -28,103 +22,34 @@ std::size_t row_grain(std::size_t flops_per_row) noexcept {
 
 }  // namespace
 
+// Row-parallel: each chunk owns a contiguous block of C rows and hands it
+// to a core::simd kernel, which computes every element by a fixed sequence
+// of roundings — so results are bit-identical for every thread count (see
+// threadpool.h's determinism contract) and every ISA (see simd.h).
+
 void gemm_accumulate(const float* a, const float* b, float* c, std::size_t m,
                      std::size_t k, std::size_t n) noexcept {
-  // Row-parallel: each chunk owns a contiguous block of C rows. Within a
-  // chunk, i-k-j order with k blocking: unit-stride inner loop over both B
-  // and C, B slab reused across the chunk's rows.
   core::ThreadPool::global().parallel_for(
       m, row_grain(k * n), [&](std::size_t i0, std::size_t i1) {
-        for (std::size_t k0 = 0; k0 < k; k0 += kKc) {
-          const std::size_t k1 = std::min(k, k0 + kKc);
-          for (std::size_t i = i0; i < i1; ++i) {
-            float* crow = c + i * n;
-            for (std::size_t kk = k0; kk < k1; ++kk) {
-              const float av = a[i * k + kk];
-              if (av == 0.0f) continue;
-              const float* brow = b + kk * n;
-              for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-            }
-          }
-        }
+        core::simd::gemm_nn(a + i0 * k, k, 1, b, c + i0 * n, i1 - i0, k, n);
       });
 }
 
 void gemm_at_b(const float* a, const float* b, float* c, std::size_t k,
                std::size_t m, std::size_t n) noexcept {
-  // C(m×n) += Aᵀ·B with A stored k×m. Parallel over C rows: each chunk
-  // reads its own column strip of A, so no two chunks touch the same C row.
+  // A is stored k×m: row i of Aᵀ is column i of A, so each chunk reads its
+  // own column strip and no two chunks touch the same C row.
   core::ThreadPool::global().parallel_for(
       m, row_grain(k * n), [&](std::size_t i0, std::size_t i1) {
-        for (std::size_t k0 = 0; k0 < k; k0 += kKc) {
-          const std::size_t k1 = std::min(k, k0 + kKc);
-          for (std::size_t i = i0; i < i1; ++i) {
-            float* crow = c + i * n;
-            for (std::size_t kk = k0; kk < k1; ++kk) {
-              const float av = a[kk * m + i];
-              if (av == 0.0f) continue;
-              const float* brow = b + kk * n;
-              for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-            }
-          }
-        }
+        core::simd::gemm_nn(a + i0, 1, m, b, c + i0 * n, i1 - i0, k, n);
       });
 }
 
 void gemm_a_bt(const float* a, const float* b, float* c, std::size_t m,
                std::size_t k, std::size_t n) noexcept {
-  // C(m×n) += A(m×k)·Bᵀ with B stored n×k: per-element dot products.
-  // 2×2 register tile reuses each loaded A/B value twice; every element
-  // keeps its own single accumulator running in ascending kk order.
   core::ThreadPool::global().parallel_for(
       m, row_grain(k * n), [&](std::size_t i0, std::size_t i1) {
-        std::size_t i = i0;
-        for (; i + 1 < i1; i += 2) {
-          const float* ar0 = a + i * k;
-          const float* ar1 = ar0 + k;
-          float* cr0 = c + i * n;
-          float* cr1 = cr0 + n;
-          std::size_t j = 0;
-          for (; j + 1 < n; j += 2) {
-            const float* br0 = b + j * k;
-            const float* br1 = br0 + k;
-            float s00 = 0.0f, s01 = 0.0f, s10 = 0.0f, s11 = 0.0f;
-            for (std::size_t kk = 0; kk < k; ++kk) {
-              const float a0 = ar0[kk];
-              const float a1 = ar1[kk];
-              const float b0 = br0[kk];
-              const float b1 = br1[kk];
-              s00 += a0 * b0;
-              s01 += a0 * b1;
-              s10 += a1 * b0;
-              s11 += a1 * b1;
-            }
-            cr0[j] += s00;
-            cr0[j + 1] += s01;
-            cr1[j] += s10;
-            cr1[j + 1] += s11;
-          }
-          for (; j < n; ++j) {
-            const float* brow = b + j * k;
-            float s0 = 0.0f, s1 = 0.0f;
-            for (std::size_t kk = 0; kk < k; ++kk) {
-              s0 += ar0[kk] * brow[kk];
-              s1 += ar1[kk] * brow[kk];
-            }
-            cr0[j] += s0;
-            cr1[j] += s1;
-          }
-        }
-        for (; i < i1; ++i) {
-          const float* arow = a + i * k;
-          float* crow = c + i * n;
-          for (std::size_t j = 0; j < n; ++j) {
-            const float* brow = b + j * k;
-            float acc = 0.0f;
-            for (std::size_t kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
-            crow[j] += acc;
-          }
-        }
+        core::simd::gemm_nt(a + i0 * k, b, c + i0 * n, i1 - i0, k, n);
       });
 }
 

@@ -45,16 +45,18 @@ struct Tensor {
   const float* ptr() const noexcept { return data.data(); }
 };
 
-/// C = A(m×k) · B(k×n), row-major, accumulating into C (caller zeroes).
+/// C(m×n) += A(m×k) · B(k×n), row-major: each element accumulates
+/// c += a·b in ascending k, skipping a == 0 terms (core/simd.h gemm_nn).
 void gemm_accumulate(const float* a, const float* b, float* c, std::size_t m,
                      std::size_t k, std::size_t n) noexcept;
 
-/// C = Aᵀ(k×m→m×k? no:) — convenience variants used by conv/linear backward:
-/// C(m×n) += A(k×m)ᵀ · B(k×n).
+/// C(m×n) += Aᵀ · B with A stored k×m and B k×n, accumulating into C in
+/// ascending k exactly like gemm_accumulate (used by conv/linear backward).
 void gemm_at_b(const float* a, const float* b, float* c, std::size_t k,
                std::size_t m, std::size_t n) noexcept;
 
-/// C(m×n) += A(m×k) · B(n×k)ᵀ.
+/// C(m×n) += A(m×k) · B(n×k)ᵀ: each element is a dot product summed from
+/// +0 in ascending k, then added to C once.
 void gemm_a_bt(const float* a, const float* b, float* c, std::size_t m,
                std::size_t k, std::size_t n) noexcept;
 

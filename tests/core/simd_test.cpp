@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "core/codec.h"
@@ -50,6 +51,7 @@ template <typename T>
 void expect_bytes_eq(const std::vector<T>& a, const std::vector<T>& b,
                      const char* what) {
   ASSERT_EQ(a.size(), b.size()) << what;
+  if (a.empty()) return;  // memcmp must not see the null data() of empties
   EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(T)))
       << what << ": outputs differ bitwise";
 }
@@ -160,6 +162,71 @@ TEST(SimdEncodeSd, BitIdenticalAcrossIsas) {
     for (std::size_t i = 1; i < heads_by_isa.size(); ++i) {
       expect_bytes_eq(heads_by_isa[0], heads_by_isa[i], "sd heads");
       expect_bytes_eq(tails_by_isa[0], tails_by_isa[i], "sd tails");
+    }
+  }
+}
+
+/// Random values with 0, -0, ±Inf, a NaN and subnormals mixed in.
+std::vector<float> special_vec(std::size_t n, std::uint64_t seed) {
+  auto v = random_vec(n, seed);
+  const float specials[] = {0.0f, -0.0f, std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min()};
+  for (std::size_t i = 0; i < n; i += 3) v[i] = specials[(i / 3) % 7];
+  return v;
+}
+
+TEST(SimdRelu, BitIdenticalAcrossIsasAllTailLengths) {
+  IsaGuard guard;
+  for (std::size_t n = 0; n <= 40; ++n) {
+    const auto x = special_vec(n, 0x4e1u + n);
+    const auto g = random_vec(n, 0x9e1u + n);
+    std::vector<std::vector<float>> y_by_isa, dx_by_isa;
+    std::vector<std::vector<std::uint8_t>> mask_by_isa;
+    for (simd::Isa isa : runnable_isas()) {
+      simd::set_isa(isa);
+      auto y = x;
+      std::vector<std::uint8_t> mask(n, 0xaa);
+      simd::relu_forward(y.data(), mask.data(), n);
+      auto dx = g;
+      simd::relu_backward(dx.data(), mask.data(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        // The definition: keep x where x > 0, else +0 (also for -0, NaN).
+        const bool keep = x[i] > 0.0f;
+        EXPECT_EQ(mask[i], keep ? 1 : 0) << "i=" << i;
+        const float want_y = keep ? x[i] : 0.0f;
+        const float want_dx = keep ? g[i] : 0.0f;
+        EXPECT_EQ(0, std::memcmp(&y[i], &want_y, 4)) << "y, i=" << i;
+        EXPECT_EQ(0, std::memcmp(&dx[i], &want_dx, 4)) << "dx, i=" << i;
+      }
+      y_by_isa.push_back(std::move(y));
+      dx_by_isa.push_back(std::move(dx));
+      mask_by_isa.push_back(std::move(mask));
+    }
+    for (std::size_t i = 1; i < y_by_isa.size(); ++i) {
+      expect_bytes_eq(y_by_isa[0], y_by_isa[i], "relu forward");
+      expect_bytes_eq(mask_by_isa[0], mask_by_isa[i], "relu mask");
+      expect_bytes_eq(dx_by_isa[0], dx_by_isa[i], "relu backward");
+    }
+  }
+}
+
+TEST(SimdAccumulate, BitIdenticalAcrossIsasAllTailLengths) {
+  IsaGuard guard;
+  for (std::size_t n = 0; n <= 40; ++n) {
+    const auto dst0 = special_vec(n, 0xacc0u + n);
+    const auto src = special_vec(n, 0xacc1u + 3 * n);
+    std::vector<std::vector<float>> out_by_isa;
+    for (simd::Isa isa : runnable_isas()) {
+      simd::set_isa(isa);
+      auto dst = dst0;
+      simd::accumulate(dst.data(), src.data(), n);
+      out_by_isa.push_back(std::move(dst));
+    }
+    for (std::size_t i = 1; i < out_by_isa.size(); ++i) {
+      expect_bytes_eq(out_by_isa[0], out_by_isa[i], "accumulate");
     }
   }
 }

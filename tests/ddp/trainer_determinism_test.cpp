@@ -1,14 +1,16 @@
-// Thread-count invariance of the parallel DDP trainer: one round must
-// produce bit-identical losses and updated weights whether the W replicas'
-// forward/backward passes run on 1, 2, or 8 pool threads. This is the
-// ISSUE 2 contract that makes the parallel trainer a drop-in replacement
-// for the sequential one in every figure reproduction.
+// Thread-count and ISA invariance of the parallel DDP trainer: one epoch
+// must produce bit-identical losses and updated weights whether the W
+// replicas' forward/backward passes run on 1, 2, or 8 pool threads, and
+// whether the ML kernels take the scalar or the vector path. This is the
+// contract that makes the parallel trainer a drop-in replacement for the
+// sequential one in every figure reproduction.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <vector>
 
 #include "collective/inject_channel.h"
+#include "core/simd.h"
 #include "core/threadpool.h"
 #include "ddp/trainer.h"
 #include "ml/data.h"
@@ -34,7 +36,9 @@ struct EpochResult {
   std::vector<std::vector<float>> params;  // one per replica
 };
 
-EpochResult run_one_epoch(core::Scheme scheme) {
+enum class Model { kMlp, kMiniVgg };
+
+EpochResult run_one_epoch(core::Scheme scheme, Model model = Model::kMlp) {
   TrainerConfig tcfg;
   tcfg.world = 4;
   tcfg.global_batch = 32;
@@ -52,11 +56,12 @@ EpochResult run_one_epoch(core::Scheme scheme) {
   chcfg.injector.drop_rate = 0.02;
   collective::InjectChannel channel(chcfg);
 
-  DdpTrainer trainer(small_data(), channel, tcfg, [] {
+  DdpTrainer trainer(small_data(), channel, tcfg, [model] {
     ml::ModelConfig mcfg;
     mcfg.classes = 10;
     mcfg.height = mcfg.width = 8;
-    return ml::make_mlp(mcfg, 32);
+    return model == Model::kMlp ? ml::make_mlp(mcfg, 32)
+                                : ml::make_mini_vgg(mcfg, 4);
   });
   EpochResult res;
   res.loss = trainer.run_epoch(0).train_loss;
@@ -67,14 +72,16 @@ EpochResult run_one_epoch(core::Scheme scheme) {
 }
 
 void expect_bit_identical(const EpochResult& a, const EpochResult& b,
-                          std::size_t threads) {
-  EXPECT_EQ(a.loss, b.loss) << "loss differs at " << threads << " threads";
+                          std::size_t threads, const char* isa = "") {
+  EXPECT_EQ(a.loss, b.loss) << "loss differs at " << threads << " threads "
+                            << isa;
   ASSERT_EQ(a.params.size(), b.params.size());
   for (std::size_t r = 0; r < a.params.size(); ++r) {
     ASSERT_EQ(a.params[r].size(), b.params[r].size());
     EXPECT_EQ(0, std::memcmp(a.params[r].data(), b.params[r].data(),
                              a.params[r].size() * sizeof(float)))
-        << "replica " << r << " weights differ at " << threads << " threads";
+        << "replica " << r << " weights differ at " << threads << " threads "
+        << isa;
   }
 }
 
@@ -97,6 +104,28 @@ TEST(TrainerDeterminism, SignEpochInvariantAcrossPoolSizes) {
     expect_bit_identical(ref, run_one_epoch(core::Scheme::kSign), threads);
   }
   core::ThreadPool::set_global_threads(1);
+}
+
+TEST(TrainerDeterminism, MiniVggEpochInvariantAcrossIsasAndPoolSizes) {
+  // The conv net runs every ML kernel (GEMMs, im2col/col2im, ReLU) down
+  // the scalar reference and, where the CPU has it, the vector path.
+  const core::simd::Isa saved = core::simd::active_isa();
+  core::simd::set_isa(core::simd::Isa::kScalar);
+  core::ThreadPool::set_global_threads(1);
+  const auto ref = run_one_epoch(core::Scheme::kRHT, Model::kMiniVgg);
+  ASSERT_GT(ref.params[0].size(), 0u);
+  for (const core::simd::Isa want :
+       {core::simd::Isa::kScalar, core::simd::compiled_isa()}) {
+    const core::simd::Isa isa = core::simd::set_isa(want);
+    for (const std::size_t threads : {1, 2, 8}) {
+      core::ThreadPool::set_global_threads(threads);
+      expect_bit_identical(
+          ref, run_one_epoch(core::Scheme::kRHT, Model::kMiniVgg), threads,
+          core::simd::to_string(isa));
+    }
+  }
+  core::ThreadPool::set_global_threads(1);
+  core::simd::set_isa(saved);
 }
 
 }  // namespace

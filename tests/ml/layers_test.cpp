@@ -6,8 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <string>
+#include <utility>
 
+#include "core/simd.h"
 #include "ml/loss.h"
 #include "ml/model.h"
 
@@ -20,6 +24,16 @@ Tensor random_tensor(std::vector<std::size_t> shape, std::uint64_t seed) {
   for (auto& x : t.data) x = static_cast<float>(rng.gaussian());
   return t;
 }
+
+/// Restores the process-wide SIMD path on scope exit.
+class IsaGuard {
+ public:
+  IsaGuard() : saved_(core::simd::active_isa()) {}
+  ~IsaGuard() { core::simd::set_isa(saved_); }
+
+ private:
+  core::simd::Isa saved_;
+};
 
 /// Central-difference check of d loss / d input for an arbitrary layer
 /// stack, where loss = sum(output * probe) for a fixed random probe.
@@ -155,6 +169,109 @@ TEST(Conv2d, ZeroPaddingAtBorders) {
   const Tensor y = conv.forward(x);
   EXPECT_FLOAT_EQ(y.data[0], 0.0f);  // top-left output: neighbour off-grid
   EXPECT_FLOAT_EQ(y.data[4], 1.0f);  // center output: top-left is x[0][0]
+}
+
+/// Direct 3×3/pad-1 convolution that performs, per element, the rounding
+/// sequence Conv2d documents: outputs start at the bias and add w·x in
+/// ascending (channel, tap) order, skipping zero weights; dW and db sum each
+/// sample from +0 over pixels, then add; dx adds its taps' column gradients
+/// (each summed over output channels, zero weights skipped) in tap order.
+struct DirectConv {
+  std::vector<float> y, dx, dw, db;
+};
+
+DirectConv direct_conv(const Tensor& x, const std::vector<float>& w,
+                       const std::vector<float>& bias, const Tensor& gout,
+                       std::size_t cout) {
+  const std::size_t batch = x.dim(0), cin = x.dim(1), h = x.dim(2),
+                    wd = x.dim(3), hw = h * wd, ck = cin * 9;
+  // Image index under tap t of channel c at output pixel p, or -1 (padding).
+  auto src = [&](std::size_t c, std::size_t t, std::size_t p) -> long {
+    const long sy = static_cast<long>(p / wd) + static_cast<long>(t / 3) - 1;
+    const long sx = static_cast<long>(p % wd) + static_cast<long>(t % 3) - 1;
+    if (sy < 0 || sx < 0 || sy >= static_cast<long>(h) ||
+        sx >= static_cast<long>(wd))
+      return -1;
+    return static_cast<long>(c * hw) + sy * static_cast<long>(wd) + sx;
+  };
+  DirectConv r;
+  r.y.assign(batch * cout * hw, 0.0f);
+  r.dx.assign(x.size(), 0.0f);
+  r.dw.assign(cout * ck, 0.0f);
+  r.db.assign(cout, 0.0f);
+  for (std::size_t b = 0; b < batch; ++b) {
+    const float* xb = x.ptr() + b * cin * hw;
+    const float* gb = gout.ptr() + b * cout * hw;
+    auto col = [&](std::size_t kk, std::size_t p) {
+      const long i = src(kk / 9, kk % 9, p);
+      return i < 0 ? 0.0f : xb[i];
+    };
+    for (std::size_t f = 0; f < cout; ++f) {
+      for (std::size_t p = 0; p < hw; ++p) {
+        float v = bias[f];
+        for (std::size_t kk = 0; kk < ck; ++kk) {
+          if (w[f * ck + kk] != 0.0f) v += w[f * ck + kk] * col(kk, p);
+        }
+        r.y[(b * cout + f) * hw + p] = v;
+      }
+      for (std::size_t kk = 0; kk < ck; ++kk) {
+        float sum = 0.0f;
+        for (std::size_t p = 0; p < hw; ++p) sum += gb[f * hw + p] * col(kk, p);
+        r.dw[f * ck + kk] += sum;
+      }
+      float sum = 0.0f;
+      for (std::size_t p = 0; p < hw; ++p) sum += gb[f * hw + p];
+      r.db[f] += sum;
+    }
+    float* dxb = r.dx.data() + b * cin * hw;
+    for (std::size_t kk = 0; kk < ck; ++kk) {
+      for (std::size_t p = 0; p < hw; ++p) {
+        float dcol = 0.0f;
+        for (std::size_t f = 0; f < cout; ++f) {
+          if (w[f * ck + kk] != 0.0f) dcol += w[f * ck + kk] * gb[f * hw + p];
+        }
+        const long i = src(kk / 9, kk % 9, p);
+        if (i >= 0) dxb[i] += dcol;
+      }
+    }
+  }
+  return r;
+}
+
+TEST(Conv2d, MatchesDirectConvolutionBitwiseOnEveryImageSize) {
+  // Images thinner than the kernel's reach (1×n, n×1) down to 16×16, so
+  // every padding window of im2col/col2im is exercised, on every ISA.
+  const IsaGuard guard;
+  const std::pair<std::size_t, std::size_t> sizes[] = {
+      {1, 1}, {1, 5}, {5, 1}, {2, 3}, {3, 2}, {4, 4}, {5, 7}, {16, 16}};
+  const std::size_t cin = 2, cout = 3, batch = 2;
+  for (const core::simd::Isa isa : {core::simd::Isa::kScalar,
+                                    core::simd::compiled_isa()}) {
+    core::simd::set_isa(isa);
+    for (const auto& [h, w] : sizes) {
+      core::Xoshiro256 rng(h * 31 + w);
+      Conv2d conv(cin, cout, rng);
+      auto params = conv.params();
+      auto& wv = *params[0].values;
+      for (std::size_t i = 0; i < wv.size(); i += 5) wv[i] = 0.0f;
+      *params[1].values = {0.25f, -0.5f, 0.0f};
+      const Tensor x = random_tensor({batch, cin, h, w}, h * 7 + w);
+      const Tensor gout = random_tensor({batch, cout, h, w}, h * 11 + w);
+      const DirectConv want = direct_conv(x, wv, *params[1].values, gout, cout);
+      const Tensor y = conv.forward(x);
+      const Tensor dx = conv.backward(gout);
+      const std::string where = std::string(core::simd::to_string(isa)) + " " +
+                                std::to_string(h) + "x" + std::to_string(w);
+      EXPECT_EQ(0, std::memcmp(y.ptr(), want.y.data(), y.size() * 4)) << where;
+      EXPECT_EQ(0, std::memcmp(dx.ptr(), want.dx.data(), dx.size() * 4)) << where;
+      EXPECT_EQ(0, std::memcmp(params[0].grads->data(), want.dw.data(),
+                               want.dw.size() * 4))
+          << where;
+      EXPECT_EQ(0, std::memcmp(params[1].grads->data(), want.db.data(),
+                               want.db.size() * 4))
+          << where;
+    }
+  }
 }
 
 TEST(Conv2d, GradientsPassNumericalCheck) {
