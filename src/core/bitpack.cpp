@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cstring>
 
+#include "core/simd.h"
+
 namespace trimgrad::core {
 
 namespace {
@@ -25,6 +27,86 @@ inline std::uint64_t to_be(std::uint64_t v) noexcept {
 }
 
 }  // namespace
+
+void pack_run(const void* in, std::size_t n, unsigned width, unsigned shift,
+              std::uint8_t* out) noexcept {
+  assert(width >= 1 && width <= 32);
+  assert(shift + width <= 32);
+  if (width == 31 && shift == 0) return simd::pack31(in, n, out);
+  // Top-aligned 64-bit accumulator: values are ORed in below the bits
+  // already filled; full accumulators flush as one 8-byte store.
+  const auto* words = static_cast<const std::uint8_t*>(in);
+  const std::uint64_t mask = (std::uint64_t{1} << width) - 1;
+  std::uint64_t acc = 0;
+  unsigned filled = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint32_t word;
+    std::memcpy(&word, words + 4 * i, 4);
+    const std::uint64_t v = (word >> shift) & mask;
+    if (filled + width <= 64) {
+      acc |= v << (64 - filled - width);
+      filled += width;
+      if (filled == 64) {
+        const std::uint64_t be = to_be(acc);
+        std::memcpy(out, &be, 8);
+        out += 8;
+        acc = 0;
+        filled = 0;
+      }
+    } else {
+      const unsigned hi = 64 - filled;  // bits that still fit
+      acc |= v >> (width - hi);
+      const std::uint64_t be = to_be(acc);
+      std::memcpy(out, &be, 8);
+      out += 8;
+      filled = width - hi;  // > 0: width == hi lands in the branch above
+      acc = v << (64 - filled);
+    }
+  }
+  if (filled) {
+    // Trailing partial accumulator: the low bits of the last byte stay zero,
+    // exactly like a partially filled BitWriter byte.
+    const std::uint64_t be = to_be(acc);
+    std::memcpy(out, &be, bytes_for_bits(filled));
+  }
+}
+
+void unpack_run(std::span<const std::uint8_t> in, std::size_t n,
+                unsigned width, std::uint32_t* out) noexcept {
+  assert(width >= 1 && width <= 32);
+  assert(in.size() >= bytes_for_bits(n * width));
+  if (width == 31) return simd::unpack31(in.data(), in.size(), n, out);
+  // Top-aligned accumulator. Refills top up with as many whole bytes of an
+  // 8-byte load as fit (filled < width <= 32 at refill time, so one load
+  // always reaches width); near the end of the input it falls back to one
+  // byte at a time, reading only bytes that hold wanted bits.
+  std::size_t byte_idx = 0;
+  std::uint64_t acc = 0;
+  unsigned filled = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (filled < width) {
+      if (byte_idx + 8 <= in.size()) {
+        std::uint64_t word;
+        std::memcpy(&word, in.data() + byte_idx, 8);
+        word = to_be(word);
+        // Consume only whole bytes: the load's tail bits belong to bytes a
+        // later refill will read again, so mask them out of the merge.
+        const unsigned add = (64 - filled) & ~7u;
+        acc |= (word >> filled) & (~std::uint64_t{0} << (64 - filled - add));
+        byte_idx += add / 8;
+        filled += add;
+      } else {
+        do {
+          acc |= static_cast<std::uint64_t>(in[byte_idx++]) << (56 - filled);
+          filled += 8;
+        } while (filled < width);
+      }
+    }
+    out[i] = static_cast<std::uint32_t>(acc >> (64 - width));
+    acc <<= width;
+    filled -= width;
+  }
+}
 
 void BitWriter::put(std::uint64_t value, unsigned width) {
   assert(width >= 1 && width <= 64);
@@ -66,46 +148,9 @@ void BitWriter::put_run(const std::uint32_t* values, std::size_t n,
     for (std::size_t i = 0; i < n; ++i) put(values[i], width);
     return;
   }
-  // Top-aligned 64-bit accumulator: values are ORed in below the bits
-  // already filled; full accumulators flush as one 8-byte store. Emits the
-  // exact MSB-first bit stream n individual put() calls would. The whole
-  // output region is sized once up front so the flush path is a bare
-  // pointer store, not a resize per accumulator.
   const std::size_t at = buf_.size();
   buf_.resize(at + bytes_for_bits(n * width));
-  std::uint8_t* p = buf_.data() + at;
-  const std::uint32_t mask =
-      width < 32 ? (std::uint32_t{1} << width) - 1 : ~std::uint32_t{0};
-  std::uint64_t acc = 0;
-  unsigned filled = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t v = values[i] & mask;
-    if (filled + width <= 64) {
-      acc |= v << (64 - filled - width);
-      filled += width;
-      if (filled == 64) {
-        const std::uint64_t be = to_be(acc);
-        std::memcpy(p, &be, 8);
-        p += 8;
-        acc = 0;
-        filled = 0;
-      }
-    } else {
-      const unsigned hi = 64 - filled;  // bits that still fit
-      acc |= v >> (width - hi);
-      const std::uint64_t be = to_be(acc);
-      std::memcpy(p, &be, 8);
-      p += 8;
-      filled = width - hi;  // > 0: width == hi lands in the branch above
-      acc = v << (64 - filled);
-    }
-  }
-  if (filled) {
-    // Trailing partial accumulator: the low bits of the last byte stay zero,
-    // exactly like a partially filled BitWriter byte.
-    const std::uint64_t be = to_be(acc);
-    std::memcpy(p, &be, bytes_for_bits(filled));
-  }
+  pack_run(values, n, width, 0, buf_.data() + at);
   bit_count_ += n * width;
 }
 
@@ -174,37 +219,8 @@ void BitReader::get_run(std::uint32_t* out, std::size_t n,
       out[i] = static_cast<std::uint32_t>(get(width));
     return;
   }
-  // Top-aligned accumulator. Refills top up with as many whole bytes of an
-  // 8-byte load as fit (filled < width <= 32 at refill time, so one load
-  // always reaches width); near the end of the buffer it falls back to one
-  // byte at a time.
-  std::size_t byte_idx = cursor_ / 8;
-  std::uint64_t acc = 0;
-  unsigned filled = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (filled < width) {
-      if (byte_idx + 8 <= data_.size()) {
-        std::uint64_t word;
-        std::memcpy(&word, data_.data() + byte_idx, 8);
-        word = to_be(word);
-        // Consume only whole bytes: the load's tail bits belong to bytes a
-        // later refill will read again, so mask them out of the merge.
-        const unsigned add = (64 - filled) & ~7u;
-        acc |= (word >> filled) & (~std::uint64_t{0} << (64 - filled - add));
-        byte_idx += add / 8;
-        filled += add;
-      } else {
-        do {
-          acc |= static_cast<std::uint64_t>(data_[byte_idx++]) << (56 - filled);
-          filled += 8;
-        } while (filled < width);
-      }
-    }
-    out[i] = static_cast<std::uint32_t>(acc >> (64 - width));
-    acc <<= width;
-    filled -= width;
-  }
-  cursor_ = byte_idx * 8 - filled;
+  unpack_run(data_.subspan(cursor_ / 8), n, width, out);
+  cursor_ += n * width;
 }
 
 void BitReader::get_bits8(std::uint8_t* out, std::size_t n) noexcept {

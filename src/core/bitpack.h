@@ -88,6 +88,22 @@ class BitReader {
   std::size_t cursor_ = 0;  // bit offset from the start of data_
 };
 
+/// Pack n values MSB-first at `width` bits each (1..32) into the
+/// bytes_for_bits(n * width) bytes at `out`: value i is
+/// (word i of `in` >> shift) masked to `width` bits (shift + width <= 32),
+/// so the stream equals what n BitWriter::put calls would write, and the
+/// unused low bits of a partial last byte are zero. `in` is read as raw
+/// native-endian 32-bit words, so the bits of a float array may be packed
+/// directly.
+void pack_run(const void* in, std::size_t n, unsigned width, unsigned shift,
+              std::uint8_t* out) noexcept;
+
+/// Inverse of pack_run with shift 0: read n width-bit values (1..32)
+/// MSB-first from the start of `in`, which must hold at least
+/// bytes_for_bits(n * width) bytes; reads nothing past them.
+void unpack_run(std::span<const std::uint8_t> in, std::size_t n,
+                unsigned width, std::uint32_t* out) noexcept;
+
 /// Reinterpret a float's bit pattern as uint32 (bit_cast wrapper).
 std::uint32_t float_bits(float v) noexcept;
 

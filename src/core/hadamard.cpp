@@ -1,7 +1,7 @@
 #include "core/hadamard.h"
 
 #include <algorithm>
-#include <bit>
+#include <array>
 #include <cassert>
 #include <cstdint>
 
@@ -11,43 +11,12 @@ namespace trimgrad::core {
 
 namespace {
 
-/// Keeps a 0/1 bit opaque to the optimizer. Without this, GCC traces the
-/// bit back through the generator, proves the stored sign word can only be
-/// one of two constants, and if-converts the branchless store below into a
-/// conditional store — one 50%-random branch per draw, which mispredicts
-/// its way to ~4 ns/coordinate.
-inline std::uint32_t opaque_bit(std::uint32_t x) noexcept {
-#if defined(__GNUC__) || defined(__clang__)
-  __asm__("" : "+r"(x));
-#endif
-  return x;
-}
-
-/// data[i] *= random_sign(), in blocks: the RNG draws stay strictly
-/// sequential (one 64-bit draw per coordinate — the exact stream the
-/// per-element loop consumes), but the ±1.0f factors are materialized
-/// branchlessly into a block and applied in a separate elementwise multiply
-/// loop, which predicts perfectly and auto-vectorizes. Multiplying by the
-/// composed ±1.0f bit pattern is the same IEEE multiply the ternary
-/// `x *= d ? 1.0f : -1.0f` performs, so results are bit-identical.
+/// data[i] *= the sign stream's ±1 (simd.h's scalar reference kernel; a
+/// lone row has no lockstep partners).
 void scale_by_random_signs(std::span<float> data, Xoshiro256& rng) noexcept {
-  constexpr std::size_t kBlock = 256;
-  std::uint32_t signs[kBlock];
-  float* p = data.data();
-  std::size_t n = data.size();
-  while (n > 0) {
-    const std::size_t m = n < kBlock ? n : kBlock;
-    for (std::size_t i = 0; i < m; ++i) {
-      // draw & 1 set => +1.0f (0x3f800000), clear => -1.0f (sign bit on).
-      const std::uint32_t neg = opaque_bit(static_cast<std::uint32_t>(~rng()) & 1u);
-      signs[i] = 0x3f800000u | (neg << 31);
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-      p[i] *= std::bit_cast<float>(signs[i]);
-    }
-    p += m;
-    n -= m;
-  }
+  std::array<std::uint64_t, 4> s = rng.state();
+  simd::random_signs(data.data(), data.data(), data.size(), s.data());
+  rng.set_state(s);
 }
 
 }  // namespace
@@ -96,21 +65,11 @@ RowSplit make_row_split(std::size_t total, std::size_t row_len) noexcept {
 
 std::vector<float> extract_padded_row(std::span<const float> flat,
                                       const RowSplit& split, std::size_t row) {
-  std::vector<float> out;
-  extract_padded_row_into(flat, split, row, out);
-  return out;
-}
-
-void extract_padded_row_into(std::span<const float> flat,
-                             const RowSplit& split, std::size_t row,
-                             std::vector<float>& out) {
   assert(row < split.n_rows);
   const std::size_t off = split.offset(row);
-  const std::size_t real = split.real_len(row);
-  const std::size_t padded = split.padded_len(row);
-  out.resize(padded);
-  std::copy(flat.begin() + off, flat.begin() + off + real, out.begin());
-  std::fill(out.begin() + real, out.end(), 0.0f);
+  std::vector<float> out(split.padded_len(row), 0.0f);
+  std::copy_n(flat.begin() + off, split.real_len(row), out.begin());
+  return out;
 }
 
 }  // namespace trimgrad::core

@@ -88,10 +88,4 @@ RowSplit make_row_split(std::size_t total, std::size_t row_len = kDefaultRhtRow)
 std::vector<float> extract_padded_row(std::span<const float> flat,
                                       const RowSplit& split, std::size_t row);
 
-/// Scratch-buffer variant for hot row loops: resizes `out` to the padded
-/// length and overwrites it, reusing its capacity across calls instead of
-/// allocating a fresh vector per row.
-void extract_padded_row_into(std::span<const float> flat, const RowSplit& split,
-                             std::size_t row, std::vector<float>& out);
-
 }  // namespace trimgrad::core

@@ -1,5 +1,6 @@
 #include "core/rht_codec.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "core/bitpack.h"
@@ -41,67 +42,88 @@ float rht_coord_trimmed(bool head, float scale_f) noexcept {
 }
 
 RhtEncodedRow rht_encode_row(std::span<const float> row, const StreamKey& key) {
-  std::vector<float> rotated(row.begin(), row.end());
-  RhtEncodedRow out;
-  rht_encode_row_inplace(rotated, key, out);
-  return out;
-}
-
-void rht_encode_row_inplace(std::span<float> row, const StreamKey& key,
-                            RhtEncodedRow& out) {
   assert(is_pow2(row.size()));
-  // ‖V‖₂² before the in-place rotation clobbers V. The rotation is
-  // orthonormal so ‖V‖₂² = ‖R‖₂²; using the pre-rotation norm follows the
-  // paper exactly. (Scalar double-accumulator reduction: order-sensitive
-  // rounding, deliberately not vectorized — see simd.h.)
-  const double l2_sq = l2_norm_sq(row);
-  SharedRng rng(key);
-  rht_inplace(row, rng);
-
-  out.heads.resize(row.size());
-  out.tails.resize(row.size());
-  simd::split_sign_mag(row.data(), row.size(), out.heads.data(),
-                       out.tails.data());
-
-  // Unbiased scale f = ‖V‖₂² / ‖R‖₁.
-  const double l1 = l1_norm(row);
-  out.scale_f = l1 > 0.0 ? static_cast<float>(l2_sq / l1) : 0.0f;
-  RhtTelemetry::get().rows_encoded.add();
+  std::vector<float> rotated(row.size());
+  const float* in = row.data();
+  float* out = rotated.data();
+  RhtEncodedRow enc;
+  rht_rotate_rows(&in, &out, 1, row.size(), &key, &enc.scale_f);
+  enc.heads.resize(row.size());
+  enc.tails.resize(row.size());
+  simd::split_sign_mag(out, row.size(), enc.heads.data(), enc.tails.data());
+  return enc;
 }
 
 std::vector<float> rht_decode_row(std::span<const std::uint8_t> heads,
                                   std::span<const std::uint32_t> tails,
                                   std::span<const std::uint8_t> trimmed,
                                   float scale_f, const StreamKey& key) {
-  std::vector<float> r_hat;
-  rht_decode_row_into(heads, tails, trimmed, scale_f, key, r_hat);
-  return r_hat;
-}
-
-void rht_decode_row_into(std::span<const std::uint8_t> heads,
-                         std::span<const std::uint32_t> tails,
-                         std::span<const std::uint8_t> trimmed, float scale_f,
-                         const StreamKey& key, std::vector<float>& r_hat) {
-  r_hat.resize(heads.size());
-  rht_decode_row_to(heads, tails, trimmed, scale_f, key, r_hat);
-}
-
-void rht_decode_row_to(std::span<const std::uint8_t> heads,
-                       std::span<const std::uint32_t> tails,
-                       std::span<const std::uint8_t> trimmed, float scale_f,
-                       const StreamKey& key, std::span<float> r_hat) {
   assert(heads.size() == tails.size());
   assert(heads.size() == trimmed.size());
-  assert(heads.size() == r_hat.size());
   assert(is_pow2(heads.size()));
-
+  std::vector<float> r_hat(heads.size());
   // scale_f = ‖V‖₂²/‖R‖₁ >= 0, so the kernel's sign-bit composition of
   // ±scale is bit-identical to rht_coord_trimmed's arithmetic negate.
   simd::join_sign_mag(heads.data(), tails.data(), trimmed.data(), scale_f,
                       r_hat.data(), heads.size());
-  SharedRng rng(key);
-  irht_inplace(r_hat, rng);
-  RhtTelemetry::get().rows_decoded.add();
+  float* row = r_hat.data();
+  rht_unrotate_rows(&row, 1, heads.size(), &key);
+  return r_hat;
+}
+
+void rht_rotate_rows(const float* const* in, float* const* out,
+                     std::size_t count, std::size_t n, const StreamKey* keys,
+                     float* scales) noexcept {
+  assert(count >= 1 && count <= 4);
+  assert(is_pow2(n));
+  std::uint64_t s[4][4];
+  for (std::size_t r = 0; r < count; ++r) {
+    const SharedRng rng(keys[r]);
+    std::copy(rng.state().begin(), rng.state().end(), s[r]);
+  }
+  // ‖V‖₂² before the rotation (out may alias in). The rotation is
+  // orthonormal so ‖V‖₂² = ‖R‖₂²; using the pre-rotation norm follows the
+  // paper exactly.
+  double l2[4], l1[4];
+  if (count == 4) {
+    simd::sum_sq4(in, n, l2);
+    simd::random_signs4(in, out, n, s);
+  } else {
+    for (std::size_t r = 0; r < count; ++r) {
+      l2[r] = l2_norm_sq({in[r], n});
+      simd::random_signs(in[r], out[r], n, s[r]);
+    }
+  }
+  for (std::size_t r = 0; r < count; ++r) fwht_orthonormal_inplace({out[r], n});
+  // Unbiased scale f = ‖V‖₂² / ‖R‖₁.
+  if (count == 4) {
+    simd::sum_abs4(out, n, l1);
+  } else {
+    for (std::size_t r = 0; r < count; ++r) l1[r] = l1_norm({out[r], n});
+  }
+  for (std::size_t r = 0; r < count; ++r)
+    scales[r] = l1[r] > 0.0 ? static_cast<float>(l2[r] / l1[r]) : 0.0f;
+  RhtTelemetry::get().rows_encoded.add(count);
+}
+
+void rht_unrotate_rows(float* const* rows, std::size_t count, std::size_t n,
+                       const StreamKey* keys) noexcept {
+  assert(count >= 1 && count <= 4);
+  assert(is_pow2(n));
+  // (H·D)⁻¹ = D⁻¹·H⁻¹ = D·H for orthonormal H and ±1 diagonal D.
+  std::uint64_t s[4][4];
+  for (std::size_t r = 0; r < count; ++r) {
+    fwht_orthonormal_inplace({rows[r], n});
+    const SharedRng rng(keys[r]);
+    std::copy(rng.state().begin(), rng.state().end(), s[r]);
+  }
+  if (count == 4) {
+    simd::random_signs4(rows, rows, n, s);
+  } else {
+    for (std::size_t r = 0; r < count; ++r)
+      simd::random_signs(rows[r], rows[r], n, s[r]);
+  }
+  RhtTelemetry::get().rows_decoded.add(count);
 }
 
 }  // namespace trimgrad::core

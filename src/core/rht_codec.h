@@ -22,7 +22,9 @@
 
 namespace trimgrad::core {
 
-/// One RHT-encoded row ready for packetization.
+/// One RHT-encoded row as per-coordinate arrays: the readable reference
+/// form of a row encode (tests, benches). The message codec packs straight
+/// from the rotated row instead (rht_rotate_rows).
 struct RhtEncodedRow {
   std::vector<std::uint8_t> heads;   ///< sign bits, 0/1 per coordinate
   std::vector<std::uint32_t> tails;  ///< 31-bit exponent+mantissa per coord
@@ -34,12 +36,6 @@ struct RhtEncodedRow {
 /// (seed, epoch, message, row) — see prng.h.
 RhtEncodedRow rht_encode_row(std::span<const float> row, const StreamKey& key);
 
-/// Scratch variant for hot row loops: rotates `row` in place (clobbering
-/// it) and overwrites `out`, reusing its vectors' capacity across calls.
-/// Bit-identical to rht_encode_row on the same input.
-void rht_encode_row_inplace(std::span<float> row, const StreamKey& key,
-                            RhtEncodedRow& out);
-
 /// Decode one row. `trimmed[i] != 0` marks coordinates whose 31-bit tail was
 /// trimmed away; for those only the sign head is used, scaled by f. Returns
 /// the reconstructed row of heads.size() coordinates (caller slices away any
@@ -49,20 +45,20 @@ std::vector<float> rht_decode_row(std::span<const std::uint8_t> heads,
                                   std::span<const std::uint8_t> trimmed,
                                   float scale_f, const StreamKey& key);
 
-/// Scratch variant of rht_decode_row: overwrites `r_hat`, reusing its
-/// capacity across calls. Bit-identical results.
-void rht_decode_row_into(std::span<const std::uint8_t> heads,
-                         std::span<const std::uint32_t> tails,
-                         std::span<const std::uint8_t> trimmed, float scale_f,
-                         const StreamKey& key, std::vector<float>& r_hat);
+/// Encode-side rotation of `count` (1..4) rows of n = 2^k floats:
+/// out[r] = H·D_r·in[r] with D_r drawn from keys[r], and
+/// scales[r] = f = ‖in[r]‖₂² / ‖out[r]‖₁ (0 when that L1 norm is 0).
+/// Four rows run the lockstep kernels of core/simd.h; fewer rows take the
+/// per-row scalar reference. The results are bit-identical either way.
+/// out[r] may equal in[r].
+void rht_rotate_rows(const float* const* in, float* const* out,
+                     std::size_t count, std::size_t n, const StreamKey* keys,
+                     float* scales) noexcept;
 
-/// Destination-span variant: decodes straight into caller-owned storage
-/// (`r_hat.size()` must equal `heads.size()`), letting full rows land in the
-/// output tensor without a bounce through scratch. Bit-identical results.
-void rht_decode_row_to(std::span<const std::uint8_t> heads,
-                       std::span<const std::uint32_t> tails,
-                       std::span<const std::uint8_t> trimmed, float scale_f,
-                       const StreamKey& key, std::span<float> r_hat);
+/// Decode-side inverse rotation of `count` (1..4) rows of n = 2^k floats,
+/// in place: rows[r] = D_r·H·rows[r] with D_r drawn from keys[r].
+void rht_unrotate_rows(float* const* rows, std::size_t count, std::size_t n,
+                       const StreamKey* keys) noexcept;
 
 /// Reassemble the rotated coordinate r_i from its head/tail split
 /// (bit-exact inverse of the encoder's split).

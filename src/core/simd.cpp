@@ -7,6 +7,8 @@
 #include <cstring>
 #include <vector>
 
+#include "core/prng.h"
+
 #if defined(__x86_64__) || defined(_M_X64)
 #define TRIMGRAD_SIMD_X86 1
 #include <immintrin.h>
@@ -103,6 +105,122 @@ void join_scalar(const std::uint8_t* heads, const std::uint32_t* tails,
     const std::uint32_t mag =
         trimmed[i] != 0 ? scale_mag : (tails[i] & kMagMask);
     out[i] = b2f(sign | mag);
+  }
+}
+
+void pack_heads_scalar(const float* r, std::size_t n,
+                       std::uint8_t* out) noexcept {
+  for (std::size_t i = 0; i < n; i += 8) {
+    const std::size_t m = std::min<std::size_t>(8, n - i);
+    unsigned byte = 0;
+    for (std::size_t k = 0; k < m; ++k)
+      byte |= ((~f2b(r[i + k]) >> 31) & 1u) << (7 - k);
+    out[i / 8] = static_cast<std::uint8_t>(byte);
+  }
+}
+
+void join_heads_scalar(const std::uint8_t* heads, std::size_t bit0,
+                       const std::uint32_t* mags, float scale, float* out,
+                       std::size_t n) noexcept {
+  const std::uint32_t scale_mag = f2b(scale) & kMagMask;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t b = bit0 + i;
+    const std::uint32_t head = (heads[b >> 3] >> (7 - (b & 7))) & 1u;
+    const std::uint32_t mag = mags != nullptr ? mags[i] & kMagMask : scale_mag;
+    out[i] = b2f(((head ^ 1u) << 31) | mag);
+  }
+}
+
+inline std::uint32_t load_u32(const std::uint8_t* p) noexcept {
+  std::uint32_t v;
+  std::memcpy(&v, p, 4);
+  return v;
+}
+
+void pack31_scalar(const std::uint8_t* in, std::size_t n,
+                   std::uint8_t* out) noexcept {
+  std::uint64_t acc = 0;  // the low `filled` bits are pending output
+  unsigned filled = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    acc = (acc << 31) | (load_u32(in + 4 * i) & kMagMask);
+    filled += 31;
+    for (; filled >= 8; filled -= 8)
+      *out++ = static_cast<std::uint8_t>(acc >> (filled - 8));
+  }
+  if (filled != 0) *out = static_cast<std::uint8_t>(acc << (8 - filled));
+}
+
+void unpack31_scalar(const std::uint8_t* in, std::size_t n,
+                     std::uint32_t* out) noexcept {
+  std::uint64_t acc = 0;  // the low `filled` bits are unread input
+  unsigned filled = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (; filled < 31; filled += 8) acc = (acc << 8) | *in++;
+    filled -= 31;
+    out[i] = static_cast<std::uint32_t>(acc >> filled) & kMagMask;
+  }
+}
+
+/// Keeps a 0/1 bit opaque to the optimizer. Without this, GCC traces the
+/// bit back through the generator, proves the stored sign word can only be
+/// one of two constants, and if-converts the branchless store below into a
+/// conditional store — one 50%-random branch per draw, which mispredicts
+/// its way to ~4 ns/coordinate.
+inline std::uint32_t opaque_bit(std::uint32_t x) noexcept {
+#if defined(__GNUC__) || defined(__clang__)
+  __asm__("" : "+r"(x));
+#endif
+  return x;
+}
+
+/// The scalar sign stream, in blocks: the draws stay strictly sequential
+/// (one 64-bit draw per coordinate), but the ±1.0f factors are materialized
+/// branchlessly into a block and applied in a separate elementwise multiply
+/// loop, which predicts perfectly and auto-vectorizes. Multiplying by the
+/// composed ±1.0f bit pattern is the same IEEE multiply the ternary
+/// `x * (d ? 1.0f : -1.0f)` performs, so results are bit-identical.
+void random_signs_scalar(const float* in, float* out, std::size_t n,
+                         std::uint64_t* s) noexcept {
+  Xoshiro256 rng(0);
+  rng.set_state({s[0], s[1], s[2], s[3]});
+  constexpr std::size_t kBlock = 256;
+  std::uint32_t signs[kBlock];
+  for (std::size_t at = 0; at < n; at += kBlock) {
+    const std::size_t m = std::min(kBlock, n - at);
+    for (std::size_t i = 0; i < m; ++i) {
+      // draw & 1 set => +1.0f (0x3f800000), clear => -1.0f (sign bit on).
+      const std::uint32_t neg =
+          opaque_bit(static_cast<std::uint32_t>(~rng()) & 1u);
+      signs[i] = 0x3f800000u | (neg << 31);
+    }
+    for (std::size_t i = 0; i < m; ++i)
+      out[at + i] = in[at + i] * b2f(signs[i]);
+  }
+  const auto& st = rng.state();
+  std::copy(st.begin(), st.end(), s);
+}
+
+void random_signs4_scalar(const float* const* in, float* const* out,
+                          std::size_t n, std::uint64_t (*s)[4]) noexcept {
+  for (int r = 0; r < 4; ++r) random_signs_scalar(in[r], out[r], n, s[r]);
+}
+
+void sum_sq4_scalar(const float* const* rows, std::size_t n,
+                    double* sq) noexcept {
+  for (int r = 0; r < 4; ++r) {
+    double acc = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+      acc += static_cast<double>(rows[r][i]) * rows[r][i];
+    sq[r] = acc;
+  }
+}
+
+void sum_abs4_scalar(const float* const* rows, std::size_t n,
+                     double* abs) noexcept {
+  for (int r = 0; r < 4; ++r) {
+    double acc = 0.0;
+    for (std::size_t i = 0; i < n; ++i) acc += std::fabs(rows[r][i]);
+    abs[r] = acc;
   }
 }
 
@@ -238,6 +356,27 @@ TG_AVX2 inline __m256 stage_len4(__m256 v) noexcept {
   return _mm256_blend_ps(_mm256_add_ps(v, sw), _mm256_sub_ps(sw, v), 0xF0);
 }
 
+/// Clears the upper ymm halves before an AVX2 kernel hands its leftover
+/// elements to a scalar reference. In the default build the reference is
+/// compiled without AVX, and legacy-SSE code that runs with dirty upper
+/// halves pays a state-transition penalty (~500 cycles for a 4-element
+/// tail, measured on a 4-core AVX2 Xeon). GCC emits this itself on
+/// return, but not before a tail call.
+TG_AVX2 inline void leave_avx() noexcept { _mm256_zeroupper(); }
+
+/// One radix-4 butterfly: stages len and 2·len on the four vectors at
+/// offsets 0, len, 2·len, 3·len — the same adds and subtracts, in the same
+/// order, as two separate radix-2 sweeps.
+TG_AVX2 inline void radix4(__m256& a, __m256& b, __m256& c,
+                           __m256& e) noexcept {
+  const __m256 s0 = _mm256_add_ps(a, b), d0 = _mm256_sub_ps(a, b);
+  const __m256 s1 = _mm256_add_ps(c, e), d1 = _mm256_sub_ps(c, e);
+  a = _mm256_add_ps(s0, s1);
+  c = _mm256_sub_ps(s0, s1);
+  b = _mm256_add_ps(d0, d1);
+  e = _mm256_sub_ps(d0, d1);
+}
+
 TG_AVX2 void fwht_avx2(float* d, std::size_t n, bool orthonormal) noexcept {
   if (n < 8) {
     orthonormal ? fwht_orthonormal_scalar(d, n) : fwht_scalar(d, n);
@@ -245,32 +384,73 @@ TG_AVX2 void fwht_avx2(float* d, std::size_t n, bool orthonormal) noexcept {
   }
   const float scale =
       orthonormal ? 1.0f / std::sqrt(static_cast<float>(n)) : 1.0f;
-  // Stages len=1,2,4 in one sweep (len=4 is the final stage when n == 8).
-  const bool fuse_here = orthonormal && n == 8;
   const __m256 vscale = _mm256_set1_ps(scale);
-  for (std::size_t i = 0; i < n; i += 8) {
-    __m256 v = _mm256_loadu_ps(d + i);
-    v = stage_len4(stage_len2(stage_len1(v)));
-    if (fuse_here) v = _mm256_mul_ps(v, vscale);
-    _mm256_storeu_ps(d + i, v);
+  // The 1/sqrt(n) scale is fused into whichever sweep runs the final stage,
+  // exactly like the scalar reference.
+  std::size_t len;  // the first stage not yet run
+  if (n >= 32) {
+    // Stages 1, 2, 4 in-register on each vector, then 8 and 16 across the
+    // four vectors of a 32-float block: five stages per sweep.
+    const bool fuse = orthonormal && n == 32;
+    for (std::size_t i = 0; i < n; i += 32) {
+      __m256 v[4];
+#pragma GCC unroll 4
+      for (int k = 0; k < 4; ++k)
+        v[k] = stage_len4(
+            stage_len2(stage_len1(_mm256_loadu_ps(d + i + 8 * k))));
+      radix4(v[0], v[1], v[2], v[3]);
+#pragma GCC unroll 4
+      for (int k = 0; k < 4; ++k)
+        _mm256_storeu_ps(d + i + 8 * k,
+                         fuse ? _mm256_mul_ps(v[k], vscale) : v[k]);
+    }
+    len = 32;
+  } else {
+    // Stages len=1,2,4 in one sweep (len=4 is the final stage when n == 8).
+    const bool fuse = orthonormal && n == 8;
+    for (std::size_t i = 0; i < n; i += 8) {
+      __m256 v = _mm256_loadu_ps(d + i);
+      v = stage_len4(stage_len2(stage_len1(v)));
+      if (fuse) v = _mm256_mul_ps(v, vscale);
+      _mm256_storeu_ps(d + i, v);
+    }
+    len = 8;
   }
-  // Stages len >= 8: plain paired add/sub sweeps; the 1/sqrt(n) scale is
-  // fused into the final stage exactly like the scalar reference.
-  for (std::size_t len = 8; len < n; len <<= 1) {
-    const bool fuse = orthonormal && (len << 1) == n;
-    for (std::size_t i = 0; i < n; i += len << 1) {
+  // Two stages per sweep while they fit, then a last single stage.
+  for (; (len << 2) <= n; len <<= 2) {
+    const bool fuse = orthonormal && (len << 2) == n;
+    for (std::size_t i = 0; i < n; i += len << 2) {
       for (std::size_t j = i; j < i + len; j += 8) {
-        const __m256 a = _mm256_loadu_ps(d + j);
-        const __m256 b = _mm256_loadu_ps(d + j + len);
-        __m256 sum = _mm256_add_ps(a, b);
-        __m256 diff = _mm256_sub_ps(a, b);
+        __m256 a = _mm256_loadu_ps(d + j);
+        __m256 b = _mm256_loadu_ps(d + j + len);
+        __m256 c = _mm256_loadu_ps(d + j + 2 * len);
+        __m256 e = _mm256_loadu_ps(d + j + 3 * len);
+        radix4(a, b, c, e);
         if (fuse) {
-          sum = _mm256_mul_ps(sum, vscale);
-          diff = _mm256_mul_ps(diff, vscale);
+          a = _mm256_mul_ps(a, vscale);
+          b = _mm256_mul_ps(b, vscale);
+          c = _mm256_mul_ps(c, vscale);
+          e = _mm256_mul_ps(e, vscale);
         }
-        _mm256_storeu_ps(d + j, sum);
-        _mm256_storeu_ps(d + j + len, diff);
+        _mm256_storeu_ps(d + j, a);
+        _mm256_storeu_ps(d + j + len, b);
+        _mm256_storeu_ps(d + j + 2 * len, c);
+        _mm256_storeu_ps(d + j + 3 * len, e);
       }
+    }
+  }
+  if (len < n) {
+    for (std::size_t j = 0; j < len; j += 8) {
+      const __m256 a = _mm256_loadu_ps(d + j);
+      const __m256 b = _mm256_loadu_ps(d + j + len);
+      __m256 sum = _mm256_add_ps(a, b);
+      __m256 diff = _mm256_sub_ps(a, b);
+      if (orthonormal) {
+        sum = _mm256_mul_ps(sum, vscale);
+        diff = _mm256_mul_ps(diff, vscale);
+      }
+      _mm256_storeu_ps(d + j, sum);
+      _mm256_storeu_ps(d + j + len, diff);
     }
   }
 }
@@ -291,6 +471,7 @@ TG_AVX2 void split_avx2(const float* r, std::size_t n, std::uint8_t* heads,
         ((spread + 0x7f7f7f7f7f7f7f7full) >> 7) & kByteOnes;
     std::memcpy(heads + i, &bytes, 8);
   }
+  leave_avx();
   if (i < n) split_scalar(r + i, n - i, heads + i, mags + i);
 }
 
@@ -318,8 +499,247 @@ TG_AVX2 void join_avx2(const std::uint8_t* heads, const std::uint32_t* tails,
     const __m256i bits = _mm256_blendv_epi8(trimv, full, keep_full);
     _mm256_storeu_ps(out + i, _mm256_castsi256_ps(bits));
   }
+  leave_avx();
   if (i < n) join_scalar(heads + i, tails + i, trimmed + i, scale, out + i,
                          n - i);
+}
+
+TG_AVX2 void pack_heads_avx2(const float* r, std::size_t n,
+                             std::uint8_t* out) noexcept {
+  // Reversing the lanes puts coordinate i's sign in movemask bit 7, so the
+  // inverted mask is the MSB-first head byte.
+  const __m256i reverse = _mm256_setr_epi32(7, 6, 5, 4, 3, 2, 1, 0);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 v = _mm256_permutevar8x32_ps(_mm256_loadu_ps(r + i), reverse);
+    out[i / 8] = static_cast<std::uint8_t>(~_mm256_movemask_ps(v));
+  }
+  leave_avx();
+  if (i < n) pack_heads_scalar(r + i, n - i, out + i / 8);
+}
+
+TG_AVX2 void join_heads_avx2(const std::uint8_t* heads, std::size_t bit0,
+                             const std::uint32_t* mags, float scale,
+                             float* out, std::size_t n) noexcept {
+  const __m256i sign = _mm256_set1_epi32(static_cast<int>(kSignMask));
+  const __m256i mag = _mm256_set1_epi32(static_cast<int>(kMagMask));
+  const __m256i scale_mag =
+      _mm256_set1_epi32(static_cast<int>(f2b(scale) & kMagMask));
+  const __m256i lane_shift = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    // The 32 head bits at stream bit b, MSB-first in one word; shifting
+    // lane k of group j left by 8j + k brings head bit 8j + k to bit 31.
+    // Only bytes that hold some of those 32 bits are read.
+    const std::size_t b = bit0 + i;
+    const std::uint8_t* p = heads + (b >> 3);
+    const unsigned sh = b & 7;
+    std::uint32_t word = std::uint32_t{p[0]} << 24 | std::uint32_t{p[1]} << 16 |
+                         std::uint32_t{p[2]} << 8 | p[3];
+    if (sh != 0) word = word << sh | p[4] >> (8 - sh);
+    const __m256i hw = _mm256_set1_epi32(static_cast<int>(word));
+#pragma GCC unroll 4
+    for (int j = 0; j < 4; ++j) {
+      const __m256i head = _mm256_sllv_epi32(
+          hw, _mm256_add_epi32(lane_shift, _mm256_set1_epi32(8 * j)));
+      const __m256i neg = _mm256_andnot_si256(head, sign);
+      const __m256i m =
+          mags != nullptr
+              ? _mm256_and_si256(_mm256_loadu_si256(reinterpret_cast<
+                                     const __m256i*>(mags + i + 8 * j)),
+                                 mag)
+              : scale_mag;
+      _mm256_storeu_ps(out + i + 8 * j,
+                       _mm256_castsi256_ps(_mm256_or_si256(neg, m)));
+    }
+  }
+  leave_avx();
+  if (i < n)
+    join_heads_scalar(heads, bit0 + i, mags != nullptr ? mags + i : nullptr,
+                      scale, out + i, n - i);
+}
+
+// 31-bit runs: eight values fill exactly 31 bytes, i.e. four big-endian
+// 64-bit words w0..w3 of which the last byte belongs to the next group.
+// Word k holds v[2k] at shift 33 + 2k, v[2k+1] at 2 + 2k, and the top
+// 2k + 2 bits of v[2k+2] at the bottom; per-lane shifts (count 64 gives 0)
+// build all four words at once, and unpacking runs the same map backwards.
+TG_AVX2 inline __m256i bswap64_lanes() noexcept {
+  return _mm256_setr_epi8(7, 6, 5, 4, 3, 2, 1, 0, 15, 14, 13, 12, 11, 10, 9,
+                          8, 7, 6, 5, 4, 3, 2, 1, 0, 15, 14, 13, 12, 11, 10,
+                          9, 8);
+}
+
+TG_AVX2 void pack31_avx2(const std::uint8_t* in, std::size_t n,
+                         std::uint8_t* out) noexcept {
+  const std::size_t bytes = (31 * n + 7) / 8;
+  const __m256i mag = _mm256_set1_epi32(static_cast<int>(kMagMask));
+  const __m256i low = _mm256_set1_epi64x(0xffffffffll);
+  const __m256i sh_even = _mm256_setr_epi64x(33, 35, 37, 39);
+  const __m256i sh_odd = _mm256_setr_epi64x(2, 4, 6, 8);
+  const __m256i sh_next = _mm256_setr_epi64x(29, 27, 25, 64);
+  const __m256i bswap = bswap64_lanes();
+  std::size_t g = 0;
+  // Each group stores 32 bytes; the 32nd is the next group's first byte,
+  // written as 0 here and overwritten by that group.
+  for (; g + 8 <= n && (g / 8) * 31 + 32 <= bytes; g += 8) {
+    const __m256i x = _mm256_and_si256(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + 4 * g)), mag);
+    const __m256i even = _mm256_and_si256(x, low);  // v0 v2 v4 v6
+    const __m256i odd = _mm256_srli_epi64(x, 32);   // v1 v3 v5 v7
+    const __m256i next = _mm256_permute4x64_epi64(even, 0xF9);  // v2 v4 v6 -
+    const __m256i w = _mm256_or_si256(
+        _mm256_or_si256(_mm256_sllv_epi64(even, sh_even),
+                        _mm256_sllv_epi64(odd, sh_odd)),
+        _mm256_srlv_epi64(next, sh_next));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + (g / 8) * 31),
+                        _mm256_shuffle_epi8(w, bswap));
+  }
+  leave_avx();
+  if (g < n) pack31_scalar(in + 4 * g, n - g, out + (g / 8) * 31);
+}
+
+TG_AVX2 void unpack31_avx2(const std::uint8_t* in, std::size_t bytes,
+                           std::size_t n, std::uint32_t* out) noexcept {
+  const __m256i mag = _mm256_set1_epi64x(kMagMask);
+  const __m256i sh_prev = _mm256_setr_epi64x(64, 29, 27, 25);
+  const __m256i sh_even = _mm256_setr_epi64x(33, 35, 37, 39);
+  const __m256i sh_odd = _mm256_setr_epi64x(2, 4, 6, 8);
+  const __m256i bswap = bswap64_lanes();
+  std::size_t g = 0;
+  for (; g + 8 <= n && (g / 8) * 31 + 32 <= bytes; g += 8) {
+    const __m256i w = _mm256_shuffle_epi8(
+        _mm256_loadu_si256(
+            reinterpret_cast<const __m256i*>(in + (g / 8) * 31)),
+        bswap);
+    const __m256i prev = _mm256_permute4x64_epi64(w, 0x90);  // w0 w0 w1 w2
+    const __m256i even = _mm256_and_si256(
+        _mm256_or_si256(_mm256_sllv_epi64(prev, sh_prev),
+                        _mm256_srlv_epi64(w, sh_even)),
+        mag);
+    const __m256i odd = _mm256_and_si256(_mm256_srlv_epi64(w, sh_odd), mag);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + g),
+                        _mm256_or_si256(even, _mm256_slli_epi64(odd, 32)));
+  }
+  leave_avx();
+  if (g < n) unpack31_scalar(in + (g / 8) * 31, n - g, out + g);
+}
+
+/// One xoshiro256** step on four independent states, one per 64-bit lane.
+TG_AVX2 inline void xoshiro_step4(__m256i& s0, __m256i& s1, __m256i& s2,
+                                  __m256i& s3) noexcept {
+  const __m256i t = _mm256_slli_epi64(s1, 17);
+  s2 = _mm256_xor_si256(s2, s0);
+  s3 = _mm256_xor_si256(s3, s1);
+  s1 = _mm256_xor_si256(s1, s2);
+  s0 = _mm256_xor_si256(s0, s3);
+  s2 = _mm256_xor_si256(s2, t);
+  s3 = _mm256_or_si256(_mm256_slli_epi64(s3, 45), _mm256_srli_epi64(s3, 19));
+}
+
+TG_AVX2 void random_signs4_avx2(const float* const* in, float* const* out,
+                                std::size_t n,
+                                std::uint64_t (*s)[4]) noexcept {
+  // Word w of the four states, one row per 64-bit lane.
+  alignas(32) std::uint64_t w[4][4];
+  for (int r = 0; r < 4; ++r)
+    for (int k = 0; k < 4; ++k) w[k][r] = s[r][k];
+  __m256i s0 = _mm256_load_si256(reinterpret_cast<const __m256i*>(w[0]));
+  __m256i s1 = _mm256_load_si256(reinterpret_cast<const __m256i*>(w[1]));
+  __m256i s2 = _mm256_load_si256(reinterpret_cast<const __m256i*>(w[2]));
+  __m256i s3 = _mm256_load_si256(reinterpret_cast<const __m256i*>(w[3]));
+  const __m256i one = _mm256_set1_epi32(0x3f800000);
+  const __m256i sign = _mm256_set1_epi32(static_cast<int>(kSignMask));
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    // Eight draws per row. Draw k's sign bit is bit 57 of s1 + (s1 << 2)
+    // (simd.h); shifting left by 6 moves it to bit 31 of the lane's upper
+    // dword. u[j] pairs draws 2j and 2j+1 of row r in 64-bit lane r.
+    __m256i u[4];
+#pragma GCC unroll 4
+    for (int j = 0; j < 4; ++j) {
+      const __m256i a = _mm256_slli_epi64(
+          _mm256_add_epi64(s1, _mm256_slli_epi64(s1, 2)), 6);
+      xoshiro_step4(s0, s1, s2, s3);
+      const __m256i b = _mm256_slli_epi64(
+          _mm256_add_epi64(s1, _mm256_slli_epi64(s1, 2)), 6);
+      xoshiro_step4(s0, s1, s2, s3);
+      u[j] = _mm256_blend_epi32(_mm256_srli_epi64(a, 32), b, 0xAA);
+    }
+    // 4×4 transpose of 64-bit lanes: row r gets its draws 0..7 in order.
+    const __m256i t0 = _mm256_unpacklo_epi64(u[0], u[1]);
+    const __m256i t1 = _mm256_unpackhi_epi64(u[0], u[1]);
+    const __m256i t2 = _mm256_unpacklo_epi64(u[2], u[3]);
+    const __m256i t3 = _mm256_unpackhi_epi64(u[2], u[3]);
+    const __m256i row[4] = {_mm256_permute2x128_si256(t0, t2, 0x20),
+                            _mm256_permute2x128_si256(t1, t3, 0x20),
+                            _mm256_permute2x128_si256(t0, t2, 0x31),
+                            _mm256_permute2x128_si256(t1, t3, 0x31)};
+#pragma GCC unroll 4
+    for (int r = 0; r < 4; ++r) {
+      // A set draw bit gives +1.0f, a clear one -1.0f.
+      const __m256 f = _mm256_castsi256_ps(
+          _mm256_or_si256(one, _mm256_andnot_si256(row[r], sign)));
+      _mm256_storeu_ps(out[r] + i,
+                       _mm256_mul_ps(_mm256_loadu_ps(in[r] + i), f));
+    }
+  }
+  _mm256_store_si256(reinterpret_cast<__m256i*>(w[0]), s0);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(w[1]), s1);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(w[2]), s2);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(w[3]), s3);
+  leave_avx();
+  for (int r = 0; r < 4; ++r) {
+    for (int k = 0; k < 4; ++k) s[r][k] = w[k][r];
+    if (i < n) random_signs_scalar(in[r] + i, out[r] + i, n - i, s[r]);
+  }
+}
+
+/// Lane r of the k-th returned vector is rows[r][i + k].
+TG_AVX2 inline void load_transposed4(const float* const* rows, std::size_t i,
+                                     __m128 c[4]) noexcept {
+  c[0] = _mm_loadu_ps(rows[0] + i);
+  c[1] = _mm_loadu_ps(rows[1] + i);
+  c[2] = _mm_loadu_ps(rows[2] + i);
+  c[3] = _mm_loadu_ps(rows[3] + i);
+  _MM_TRANSPOSE4_PS(c[0], c[1], c[2], c[3]);
+}
+
+TG_AVX2 void sum_sq4_avx2(const float* const* rows, std::size_t n,
+                          double* sq) noexcept {
+  __m256d acc = _mm256_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    __m128 c[4];
+    load_transposed4(rows, i, c);
+#pragma GCC unroll 4
+    for (int k = 0; k < 4; ++k) {
+      const __m256d d = _mm256_cvtps_pd(c[k]);
+      acc = _mm256_add_pd(acc, _mm256_mul_pd(d, d));
+    }
+  }
+  _mm256_storeu_pd(sq, acc);
+  for (int r = 0; r < 4; ++r)
+    for (std::size_t k = i; k < n; ++k)
+      sq[r] += static_cast<double>(rows[r][k]) * rows[r][k];
+}
+
+TG_AVX2 void sum_abs4_avx2(const float* const* rows, std::size_t n,
+                           double* abs) noexcept {
+  const __m128 sign =
+      _mm_castsi128_ps(_mm_set1_epi32(static_cast<int>(kSignMask)));
+  __m256d acc = _mm256_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    __m128 c[4];
+    load_transposed4(rows, i, c);
+#pragma GCC unroll 4
+    for (int k = 0; k < 4; ++k)
+      acc = _mm256_add_pd(acc, _mm256_cvtps_pd(_mm_andnot_ps(sign, c[k])));
+  }
+  _mm256_storeu_pd(abs, acc);
+  for (int r = 0; r < 4; ++r)
+    for (std::size_t k = i; k < n; ++k) abs[r] += std::fabs(rows[r][k]);
 }
 
 TG_AVX2 void encode_sd_avx2(const float* v, const float* dither,
@@ -343,6 +763,7 @@ TG_AVX2 void encode_sd_avx2(const float* v, const float* dither,
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(tails + i),
                         _mm256_or_si256(sgn, em));
   }
+  leave_avx();
   if (i < n) encode_sd_scalar(v + i, dither + i, n - i, heads + i, tails + i);
 }
 
@@ -417,6 +838,7 @@ TG_AVX2 void gemm_nn_avx2(const float* a, std::size_t a_row,
     gemm_nn_panel<2>(a, a_row, a_col, b + j, c + j, rows, k, n);
   for (; j + 8 <= n; j += 8)
     gemm_nn_panel<1>(a, a_row, a_col, b + j, c + j, rows, k, n);
+  leave_avx();
   if (j < n) gemm_nn_cols(a, a_row, a_col, b + j, c + j, n, rows, k, n - j);
 }
 
@@ -517,6 +939,7 @@ TG_AVX2 void accumulate_avx2(float* dst, const float* src,
     _mm256_storeu_ps(dst + i, _mm256_add_ps(_mm256_loadu_ps(dst + i),
                                             _mm256_loadu_ps(src + i)));
   }
+  leave_avx();
   if (i < n) accumulate_scalar(dst + i, src + i, n - i);
 }
 
@@ -536,6 +959,7 @@ TG_AVX2 void relu_forward_avx2(float* x, std::uint8_t* mask,
         ((spread + 0x7f7f7f7f7f7f7f7full) >> 7) & kByteOnes;
     std::memcpy(mask + i, &bytes, 8);
   }
+  leave_avx();
   if (i < n) relu_forward_scalar(x + i, mask + i, n - i);
 }
 
@@ -549,6 +973,7 @@ TG_AVX2 void relu_backward_avx2(float* g, const std::uint8_t* mask,
     const __m256 drop = _mm256_castsi256_ps(_mm256_cmpeq_epi32(m, zero));
     _mm256_storeu_ps(g + i, _mm256_andnot_ps(drop, _mm256_loadu_ps(g + i)));
   }
+  leave_avx();
   if (i < n) relu_backward_scalar(g + i, mask + i, n - i);
 }
 
@@ -728,6 +1153,67 @@ void join_sign_mag(const std::uint8_t* heads, const std::uint32_t* tails,
     return join_avx2(heads, tails, trimmed, scale, out, n);
 #endif
   join_scalar(heads, tails, trimmed, scale, out, n);
+}
+
+void pack_heads(const float* r, std::size_t n, std::uint8_t* out) noexcept {
+#if TRIMGRAD_SIMD_X86
+  if (active_isa() == Isa::kAvx2) return pack_heads_avx2(r, n, out);
+#endif
+  pack_heads_scalar(r, n, out);
+}
+
+void join_heads(const std::uint8_t* heads, std::size_t bit0,
+                const std::uint32_t* mags, float scale, float* out,
+                std::size_t n) noexcept {
+#if TRIMGRAD_SIMD_X86
+  if (active_isa() == Isa::kAvx2)
+    return join_heads_avx2(heads, bit0, mags, scale, out, n);
+#endif
+  join_heads_scalar(heads, bit0, mags, scale, out, n);
+}
+
+void pack31(const void* in, std::size_t n, std::uint8_t* out) noexcept {
+  const auto* bytes = static_cast<const std::uint8_t*>(in);
+#if TRIMGRAD_SIMD_X86
+  if (active_isa() == Isa::kAvx2) return pack31_avx2(bytes, n, out);
+#endif
+  pack31_scalar(bytes, n, out);
+}
+
+void unpack31(const std::uint8_t* in, std::size_t bytes, std::size_t n,
+              std::uint32_t* out) noexcept {
+#if TRIMGRAD_SIMD_X86
+  if (active_isa() == Isa::kAvx2) return unpack31_avx2(in, bytes, n, out);
+#endif
+  (void)bytes;
+  unpack31_scalar(in, n, out);
+}
+
+void random_signs(const float* in, float* out, std::size_t n,
+                  std::uint64_t* s) noexcept {
+  random_signs_scalar(in, out, n, s);
+}
+
+void random_signs4(const float* const* in, float* const* out, std::size_t n,
+                   std::uint64_t (*s)[4]) noexcept {
+#if TRIMGRAD_SIMD_X86
+  if (active_isa() == Isa::kAvx2) return random_signs4_avx2(in, out, n, s);
+#endif
+  random_signs4_scalar(in, out, n, s);
+}
+
+void sum_sq4(const float* const* rows, std::size_t n, double* sq) noexcept {
+#if TRIMGRAD_SIMD_X86
+  if (active_isa() == Isa::kAvx2) return sum_sq4_avx2(rows, n, sq);
+#endif
+  sum_sq4_scalar(rows, n, sq);
+}
+
+void sum_abs4(const float* const* rows, std::size_t n, double* abs) noexcept {
+#if TRIMGRAD_SIMD_X86
+  if (active_isa() == Isa::kAvx2) return sum_abs4_avx2(rows, n, abs);
+#endif
+  sum_abs4_scalar(rows, n, abs);
 }
 
 void encode_sd(const float* v, const float* dither, std::size_t n,

@@ -29,10 +29,20 @@
 // inputs; a GEMM lane runs one C element's whole ascending-k sequence.
 // Vector and scalar paths therefore produce bit-identical results, which
 // is what lets SIMD-vs-scalar builds (and any TRIMGRAD_THREADS) decode each
-// other's packets and train the same weights. Reductions with
-// order-sensitive rounding (row norms) deliberately stay scalar in their
-// callers. tests/core/simd_test.cpp and tests/ml/tensor_test.cpp enforce
-// the contract kernel by kernel.
+// other's packets and train the same weights. A lane may also own a whole
+// sequential computation of one row: a row's entire xoshiro256** sign
+// stream (random_signs4), or a row's ascending-index double sum (sum_sq4,
+// sum_abs4). Such kernels run four rows side by side, one per lane, and
+// never split or reorder one row's sequence, so they too match the scalar
+// reference bit for bit. A reduction across lanes of one row (a
+// reassociated sum) is never used. tests/core/simd_test.cpp and
+// tests/ml/tensor_test.cpp enforce the contract kernel by kernel.
+//
+// The lockstep sign stream needs no 64-bit multiply. xoshiro256** returns
+// x = rotl(s1·5, 7)·9 and the sign uses bit 0 of x. Multiplying by the odd
+// 9 keeps bit 0; rotl by 7 moves bit 57 to bit 0; and s1·5 = s1 + (s1 << 2).
+// So the sign bit is bit 57 of s1 + (s1 << 2): one shift and one add per
+// lane, while AVX2 has no 64-bit lane multiply.
 #pragma once
 
 #include <cstddef>
@@ -76,6 +86,57 @@ void split_sign_mag(const float* r, std::size_t n, std::uint8_t* heads,
 void join_sign_mag(const std::uint8_t* heads, const std::uint32_t* tails,
                    const std::uint8_t* trimmed, float scale, float* out,
                    std::size_t n) noexcept;
+
+/// Head bits of n coordinates, packed MSB-first into bytes_for_bits(n)
+/// bytes of `out`: bit i is 1 where r[i]'s sign bit is clear (the RHT and
+/// sign-scheme head). The unused low bits of a partial last byte are 0.
+void pack_heads(const float* r, std::size_t n, std::uint8_t* out) noexcept;
+
+/// Decode-side join of one packet's coordinates, straight from its head
+/// region: head i is bit (bit0 + i) of the MSB-first `heads` stream, and
+///   out[i] = float((head i ? 0 : sign bit) | (mags[i] & 0x7fffffff)),
+/// or, with mags == nullptr (a trimmed packet), the magnitude bits of
+/// `scale` in place of mags[i]: ±|scale| with the head's sign.
+void join_heads(const std::uint8_t* heads, std::size_t bit0,
+                const std::uint32_t* mags, float scale, float* out,
+                std::size_t n) noexcept;
+
+/// The 31-bit tail run: pack n values (native 32-bit words of `in`, e.g.
+/// float bits, masked to their low 31 bits) MSB-first into the
+/// ceil(31·n/8) bytes at `out`, with the unused low bits of a partial last
+/// byte zero — the stream n BitWriter::put(v, 31) calls write.
+void pack31(const void* in, std::size_t n, std::uint8_t* out) noexcept;
+
+/// Inverse of pack31: read n 31-bit values MSB-first from `in`, which
+/// holds `bytes` >= ceil(31·n/8) bytes; never reads past `bytes`.
+void unpack31(const std::uint8_t* in, std::size_t bytes, std::size_t n,
+              std::uint32_t* out) noexcept;
+
+// ---- RHT sign streams and row norms, four rows in lockstep ---------------
+//
+// D in R = H·D·V draws one xoshiro256** output per coordinate from the row's
+// own stream (core/prng.h) and multiplies by +1.0f where bit 0 of the draw
+// is set, else -1.0f. The "4" kernels take four rows of equal length; the
+// AVX2 bodies give each row one lane and run the four rows in lockstep,
+// while the scalar reference runs the rows one after another.
+
+/// One row: out[i] = in[i] * (bit 0 of draw i ? +1.0f : -1.0f), drawing
+/// from the xoshiro256** state `s` (Xoshiro256::state() order) in index
+/// order and leaving it n draws on. in == out is allowed. The scalar
+/// reference of random_signs4, and the path for rows outside a group of 4.
+void random_signs(const float* in, float* out, std::size_t n,
+                  std::uint64_t* s) noexcept;
+
+/// random_signs on four rows of n coordinates: row r reads in[r], writes
+/// out[r] (which may equal in[r]) and advances the state s[r].
+void random_signs4(const float* const* in, float* const* out, std::size_t n,
+                   std::uint64_t (*s)[4]) noexcept;
+
+/// Per-row norms of four rows of n floats, each a double sum from +0 in
+/// ascending index order (stats.h's l2_norm_sq and l1_norm, bit for bit):
+/// sq[r] = Σ double(x)·double(x) and abs[r] = Σ double(|x|).
+void sum_sq4(const float* const* rows, std::size_t n, double* sq) noexcept;
+void sum_abs4(const float* const* rows, std::size_t n, double* abs) noexcept;
 
 // ---- scalar-scheme bulk encodes ------------------------------------------
 

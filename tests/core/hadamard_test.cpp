@@ -159,27 +159,14 @@ TEST(ExtractPaddedRow, CopiesAndZeroPads) {
   EXPECT_FLOAT_EQ(r1[0], 5);
 }
 
-TEST(ExtractPaddedRow, IntoVariantMatchesAndReusesCapacity) {
-  std::vector<float> flat = {1, 2, 3, 4, 5};
-  const RowSplit s = make_row_split(flat.size(), 4);
-  std::vector<float> scratch(64, -7.0f);  // stale garbage must be cleared
-  const float* before = scratch.data();
-  extract_padded_row_into(flat, s, 0, scratch);
-  EXPECT_EQ(scratch.data(), before);  // shrink reuses the allocation
-  EXPECT_EQ(extract_padded_row(flat, s, 0), scratch);
-  extract_padded_row_into(flat, s, 1, scratch);
-  EXPECT_EQ(extract_padded_row(flat, s, 1), scratch);
-}
-
-TEST(ExtractPaddedRow, IntoVariantZeroPadsTail) {
+TEST(ExtractPaddedRow, ZeroPadsRaggedTail) {
   std::vector<float> flat(11, 2.5f);
   const RowSplit s = make_row_split(flat.size(), 8);
-  std::vector<float> scratch{9.0f, 9.0f};  // too small: must grow
-  extract_padded_row_into(flat, s, 1, scratch);
-  ASSERT_EQ(scratch.size(), 4u);  // 3 real values pad to pow2(3)=4
-  EXPECT_FLOAT_EQ(scratch[0], 2.5f);
-  EXPECT_FLOAT_EQ(scratch[2], 2.5f);
-  EXPECT_FLOAT_EQ(scratch[3], 0.0f);
+  const auto r1 = extract_padded_row(flat, s, 1);
+  ASSERT_EQ(r1.size(), 4u);  // 3 real values pad to pow2(3)=4
+  EXPECT_FLOAT_EQ(r1[0], 2.5f);
+  EXPECT_FLOAT_EQ(r1[2], 2.5f);
+  EXPECT_FLOAT_EQ(r1[3], 0.0f);
 }
 
 class FwhtSizeSweep : public ::testing::TestWithParam<std::size_t> {};

@@ -10,12 +10,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <vector>
 
+#include "core/bitpack.h"
 #include "core/codec.h"
 #include "core/prng.h"
+#include "core/stats.h"
 #include "core/wire.h"
 
 namespace trimgrad::core {
@@ -70,9 +75,10 @@ TEST(SimdDispatch, ForcedScalarSticksAndClamps) {
 
 TEST(SimdFwht, BitIdenticalAcrossIsas) {
   IsaGuard guard;
-  for (std::size_t n : {std::size_t{2}, std::size_t{4}, std::size_t{8},
-                        std::size_t{16}, std::size_t{64}, std::size_t{256},
-                        std::size_t{4096}}) {
+  // Every power of two: the AVX2 body runs 1, 2 or 5 stages in its first
+  // sweep and then two stages per sweep, so each stage count's parity and
+  // every fused-final-stage position is covered.
+  for (std::size_t n = 1; n <= (std::size_t{1} << 15); n <<= 1) {
     const auto input = random_vec(n, 0x5eed + n);
     std::vector<std::vector<float>> outs;
     for (simd::Isa isa : runnable_isas()) {
@@ -89,8 +95,7 @@ TEST(SimdFwht, BitIdenticalAcrossIsas) {
 
 TEST(SimdFwht, OrthonormalBitIdenticalAcrossIsas) {
   IsaGuard guard;
-  for (std::size_t n : {std::size_t{2}, std::size_t{8}, std::size_t{32},
-                        std::size_t{1024}, std::size_t{32768}}) {
+  for (std::size_t n = 1; n <= (std::size_t{1} << 15); n <<= 1) {
     const auto input = random_vec(n, 0xfade + n);
     std::vector<std::vector<float>> outs;
     for (simd::Isa isa : runnable_isas()) {
@@ -101,6 +106,171 @@ TEST(SimdFwht, OrthonormalBitIdenticalAcrossIsas) {
     }
     for (std::size_t i = 1; i < outs.size(); ++i) {
       expect_bytes_eq(outs[0], outs[i], "fwht_orthonormal");
+    }
+  }
+}
+
+/// Inputs laced with signed zeros, infinities, a NaN and a subnormal.
+std::vector<float> laced_vec(std::size_t n, std::uint64_t seed) {
+  auto v = random_vec(n, seed);
+  const float special[] = {0.0f, -0.0f, std::numeric_limits<float>::infinity(),
+                           -std::numeric_limits<float>::infinity(),
+                           std::numeric_limits<float>::quiet_NaN(), 1e-40f};
+  for (std::size_t i = 0; i < n; i += 5) v[i] = special[(i / 5) % 6];
+  return v;
+}
+
+std::array<std::uint64_t, 4> row_state(std::uint64_t row) {
+  return SharedRng(StreamKey{7, 1, 2, row}).state();
+}
+
+TEST(SimdRandomSigns, ReferenceIsOneDrawPerCoordinate) {
+  // No NaN here: the compiler may fold the ternary's x * -1.0f into a
+  // negation, which flips a NaN's sign where the kernel's multiply keeps it.
+  auto input = laced_vec(300, 1);
+  for (float& x : input) x = std::isnan(x) ? 3.0f : x;
+  auto st = row_state(0);
+  std::vector<float> out(input.size());
+  simd::random_signs(input.data(), out.data(), input.size(), st.data());
+  SharedRng rng(StreamKey{7, 1, 2, 0});
+  std::vector<float> want(input.size());
+  for (std::size_t i = 0; i < input.size(); ++i)
+    want[i] = input[i] * ((rng() & 1u) != 0 ? 1.0f : -1.0f);
+  expect_bytes_eq(want, out, "random_signs");
+  EXPECT_EQ(st, rng.state()) << "state must end n draws on";
+}
+
+TEST(SimdRandomSigns, FourRowKernelMatchesPerRowStreamsOnEveryIsa) {
+  IsaGuard guard;
+  // Lengths around the 8-draw block, and the fabric row length.
+  for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                        std::size_t{8}, std::size_t{9}, std::size_t{31},
+                        std::size_t{1024}, std::size_t{1029}}) {
+    std::vector<std::vector<float>> want(4), in(4);
+    std::array<std::array<std::uint64_t, 4>, 4> want_state;
+    for (std::size_t r = 0; r < 4; ++r) {
+      in[r] = laced_vec(n, 40 + r);
+      want[r].resize(n);
+      want_state[r] = row_state(r);
+      simd::random_signs(in[r].data(), want[r].data(), n,
+                         want_state[r].data());
+    }
+    for (simd::Isa isa : runnable_isas()) {
+      simd::set_isa(isa);
+      for (const bool in_place : {false, true}) {
+        std::vector<std::vector<float>> out(4);
+        std::uint64_t st[4][4];
+        const float* ip[4];
+        float* op[4];
+        for (std::size_t r = 0; r < 4; ++r) {
+          out[r] = in_place ? in[r] : std::vector<float>(n);
+          ip[r] = in_place ? out[r].data() : in[r].data();
+          op[r] = out[r].data();
+          const auto s0 = row_state(r);
+          std::copy(s0.begin(), s0.end(), st[r]);
+        }
+        simd::random_signs4(ip, op, n, st);
+        for (std::size_t r = 0; r < 4; ++r) {
+          expect_bytes_eq(want[r], out[r], "random_signs4");
+          EXPECT_TRUE(std::equal(st[r], st[r] + 4, want_state[r].begin()))
+              << "row " << r << " state, n=" << n << " isa "
+              << simd::to_string(isa);
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdRowNorms, FourRowSumsMatchStatsOnEveryIsa) {
+  IsaGuard guard;
+  for (std::size_t n = 0; n <= 37; ++n) {
+    for (const std::size_t len : {n, n + 1024}) {
+      std::vector<std::vector<float>> rows(4);
+      const float* p[4];
+      double want_sq[4], want_abs[4];
+      for (std::size_t r = 0; r < 4; ++r) {
+        rows[r] = laced_vec(len, 90 + r + len);
+        if (r == 3)  // one row of finite values only, so its sums are finite
+          for (float& x : rows[r]) x = std::isfinite(x) ? x : 2.5f;
+        p[r] = rows[r].data();
+        want_sq[r] = l2_norm_sq(rows[r]);
+        want_abs[r] = l1_norm(rows[r]);
+      }
+      for (simd::Isa isa : runnable_isas()) {
+        simd::set_isa(isa);
+        double sq[4], abs[4];
+        simd::sum_sq4(p, len, sq);
+        simd::sum_abs4(p, len, abs);
+        EXPECT_EQ(0, std::memcmp(sq, want_sq, sizeof(sq))) << "len " << len;
+        EXPECT_EQ(0, std::memcmp(abs, want_abs, sizeof(abs))) << "len " << len;
+      }
+    }
+  }
+}
+
+TEST(SimdHeadBits, PackAndJoinMatchBitStreamOnEveryIsa) {
+  IsaGuard guard;
+  for (std::size_t n = 0; n <= 80; ++n) {
+    const auto r = laced_vec(n, 300 + n);
+    std::vector<std::uint8_t> bools(n);
+    std::vector<std::uint32_t> mags(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      bools[i] = std::signbit(r[i]) ? 0 : 1;
+      mags[i] = float_bits(r[i]) ^ (i % 2 == 0 ? 0x80000000u : 0u);
+    }
+    BitWriter w;
+    w.put_bits8(bools.data(), n);
+    const std::vector<std::uint8_t> want = std::move(w).finish();
+    for (simd::Isa isa : runnable_isas()) {
+      simd::set_isa(isa);
+      std::vector<std::uint8_t> packed(bytes_for_bits(n));
+      simd::pack_heads(r.data(), n, packed.data());
+      expect_bytes_eq(want, packed, "pack_heads");
+      // Join from every bit offset of a stream with 0..15 leading bits;
+      // the buffer ends exactly at the last head bit.
+      for (std::size_t bit0 = 0; bit0 < 16; ++bit0) {
+        BitWriter lead;
+        for (std::size_t i = 0; i < bit0; ++i) lead.put_bit(i % 3 == 0);
+        lead.put_bits8(bools.data(), n);
+        const std::vector<std::uint8_t> stream = std::move(lead).finish();
+        for (const bool trimmed : {false, true}) {
+          std::vector<float> got(n), exp(n);
+          simd::join_heads(stream.data(), bit0, trimmed ? nullptr : mags.data(),
+                           -0.75f, got.data(), n);
+          for (std::size_t i = 0; i < n; ++i) {
+            const std::uint32_t mag =
+                trimmed ? float_bits(0.75f) : mags[i] & 0x7fffffffu;
+            exp[i] = bits_float((bools[i] ? 0u : 0x80000000u) | mag);
+          }
+          expect_bytes_eq(exp, got, "join_heads");
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdTails31, PackAndUnpackMatchBitStreamOnEveryIsa) {
+  IsaGuard guard;
+  Xoshiro256 rng(0x31);
+  for (std::size_t n = 0; n <= 90; ++n) {
+    for (const std::size_t len : {n, n + 364}) {
+      std::vector<std::uint32_t> vals(len);
+      for (auto& v : vals) v = static_cast<std::uint32_t>(rng());
+      BitWriter w;
+      for (std::uint32_t v : vals) w.put(v, 31);
+      const std::vector<std::uint8_t> want = std::move(w).finish();
+      for (simd::Isa isa : runnable_isas()) {
+        simd::set_isa(isa);
+        std::vector<std::uint8_t> packed(want.size());
+        simd::pack31(vals.data(), len, packed.data());
+        expect_bytes_eq(want, packed, "pack31");
+        // Exactly sized input: the unpacker must not read past it.
+        std::vector<std::uint32_t> back(len);
+        simd::unpack31(packed.data(), packed.size(), len, back.data());
+        for (std::size_t i = 0; i < len; ++i)
+          ASSERT_EQ(back[i], vals[i] & 0x7fffffffu)
+              << "i=" << i << " len=" << len;
+      }
     }
   }
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "core/codec_registry.h"
@@ -278,6 +280,59 @@ TEST(Wire, EndToEndThroughBytesDecodesCorrectly) {
   const auto out = dec.decode(received, *meta);
   EXPECT_GT(out.stats.trimmed_coords, 0u);
   EXPECT_LT(nmse(out.values, v), 0.4);
+}
+
+// A CRC only proves the sender wrote the regions, not that they are as
+// long as the header's n_coords and q_bits claim. Every registry decoder
+// must count such a packet's coordinates as lost without reading past its
+// regions (under ASan an over-read fails here).
+TEST(WirePacket, ShortRegionsAreLostNotOverread) {
+  for (const std::string& name : CodecRegistry::global().names()) {
+    SCOPED_TRACE(name);
+    CodecConfig cfg = cfg_of(CodecRegistry::global().at(name).scheme);
+    TrimmableEncoder enc(cfg);
+    TrimmableDecoder dec(cfg);
+    const auto msg = enc.encode(gaussian_vec(2000, 4), 5, 1);
+    ASSERT_FALSE(msg.packets.empty());
+    const GradientPacket& sent = msg.packets.front();
+    ASSERT_GT(sent.n_coords, 24u);
+
+    auto through_wire = [&](const GradientPacket& pkt, WireVerdict want) {
+      const auto parsed = parse_packet_verified(serialize_packet(pkt));
+      EXPECT_EQ(parsed.verdict, want);
+      std::vector<GradientPacket> got;
+      if (parsed.packet) got.push_back(*parsed.packet);
+      return dec.decode(got, msg.meta);
+    };
+    auto expect_all_lost = [&](const DecodeResult& out) {
+      EXPECT_EQ(out.stats.full_coords, 0u);
+      EXPECT_EQ(out.stats.trimmed_coords, 0u);
+      EXPECT_EQ(out.stats.lost_coords, msg.meta.total_coords);
+    };
+
+    // Head region 2 bytes, tail region 3 bytes, header unchanged.
+    GradientPacket shorted = sent;
+    shorted.head_region.resize(
+        std::min<std::size_t>(2, sent.head_region.size()));
+    shorted.tail_region.resize(3);
+    expect_all_lost(through_wire(shorted, WireVerdict::kFull));
+
+    // Trimmed on the wire with a short head region.
+    GradientPacket short_head = shorted.trimmed_copy();
+    if (!short_head.head_region.empty() || name == "baseline") {
+      expect_all_lost(through_wire(short_head, WireVerdict::kTrimmed));
+    }
+
+    // Tail widths of 0 and above 32 bits name no decodable tail (baseline
+    // ships fixed 32-bit floats and ignores q_bits).
+    if (name != "baseline") {
+      for (const std::uint8_t q : {std::uint8_t{0}, std::uint8_t{40}}) {
+        GradientPacket bad_q = sent;
+        bad_q.q_bits = q;
+        expect_all_lost(through_wire(bad_q, WireVerdict::kFull));
+      }
+    }
+  }
 }
 
 TEST(WireMeta, RoundTripsAllFields) {
