@@ -1,14 +1,14 @@
-// Magnitude-ordered coordinate placement (paper §2, second paragraph).
+// Magnitude-ordered coordinate placement (paper §2, second paragraph): the
+// layout-strawman helpers behind the X2 ablation (bench_ablation_estimators,
+// part c). This is not a codec; no wire scheme uses it.
 //
 // Before introducing the head/tail split, the paper discusses the
 // MLT-inspired strawman: place large-magnitude coordinates near the packet
 // front so that trimming discards the small ones. That only buys ~20 %
-// trimming headroom (hence the head/tail design), but we implement it so
-// the ablation bench can quantify exactly that limitation.
-//
-// The receiver needs the placement permutation to restore coordinate order;
-// in this model it rides the reliable metadata channel, and
-// `permutation_overhead_bytes` makes the cost explicit.
+// trimming headroom (hence the head/tail design); the ablation quantifies
+// exactly that limitation. The receiver would need the placement
+// permutation to restore coordinate order, and `permutation_overhead_bytes`
+// makes the cost of shipping it explicit.
 #pragma once
 
 #include <cstdint>
