@@ -119,13 +119,11 @@ void pack_heads_scalar(const float* r, std::size_t n,
   }
 }
 
-void join_heads_scalar(const std::uint8_t* heads, std::size_t bit0,
-                       const std::uint32_t* mags, float scale, float* out,
-                       std::size_t n) noexcept {
+void join_heads_scalar(const std::uint8_t* heads, const std::uint32_t* mags,
+                       float scale, float* out, std::size_t n) noexcept {
   const std::uint32_t scale_mag = f2b(scale) & kMagMask;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t b = bit0 + i;
-    const std::uint32_t head = (heads[b >> 3] >> (7 - (b & 7))) & 1u;
+    const std::uint32_t head = (heads[i >> 3] >> (7 - (i & 7))) & 1u;
     const std::uint32_t mag = mags != nullptr ? mags[i] & kMagMask : scale_mag;
     out[i] = b2f(((head ^ 1u) << 31) | mag);
   }
@@ -518,7 +516,7 @@ TG_AVX2 void pack_heads_avx2(const float* r, std::size_t n,
   if (i < n) pack_heads_scalar(r + i, n - i, out + i / 8);
 }
 
-TG_AVX2 void join_heads_avx2(const std::uint8_t* heads, std::size_t bit0,
+TG_AVX2 void join_heads_avx2(const std::uint8_t* heads,
                              const std::uint32_t* mags, float scale,
                              float* out, std::size_t n) noexcept {
   const __m256i sign = _mm256_set1_epi32(static_cast<int>(kSignMask));
@@ -528,15 +526,13 @@ TG_AVX2 void join_heads_avx2(const std::uint8_t* heads, std::size_t bit0,
   const __m256i lane_shift = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
   std::size_t i = 0;
   for (; i + 32 <= n; i += 32) {
-    // The 32 head bits at stream bit b, MSB-first in one word; shifting
-    // lane k of group j left by 8j + k brings head bit 8j + k to bit 31.
-    // Only bytes that hold some of those 32 bits are read.
-    const std::size_t b = bit0 + i;
-    const std::uint8_t* p = heads + (b >> 3);
-    const unsigned sh = b & 7;
-    std::uint32_t word = std::uint32_t{p[0]} << 24 | std::uint32_t{p[1]} << 16 |
-                         std::uint32_t{p[2]} << 8 | p[3];
-    if (sh != 0) word = word << sh | p[4] >> (8 - sh);
+    // The 32 head bits from stream bit i (a byte boundary), MSB-first in
+    // one word; shifting lane k of group j left by 8j + k brings head bit
+    // 8j + k to bit 31.
+    const std::uint8_t* p = heads + i / 8;
+    const std::uint32_t word = std::uint32_t{p[0]} << 24 |
+                               std::uint32_t{p[1]} << 16 |
+                               std::uint32_t{p[2]} << 8 | p[3];
     const __m256i hw = _mm256_set1_epi32(static_cast<int>(word));
 #pragma GCC unroll 4
     for (int j = 0; j < 4; ++j) {
@@ -555,7 +551,7 @@ TG_AVX2 void join_heads_avx2(const std::uint8_t* heads, std::size_t bit0,
   }
   leave_avx();
   if (i < n)
-    join_heads_scalar(heads, bit0 + i, mags != nullptr ? mags + i : nullptr,
+    join_heads_scalar(heads + i / 8, mags != nullptr ? mags + i : nullptr,
                       scale, out + i, n - i);
 }
 
@@ -1162,14 +1158,13 @@ void pack_heads(const float* r, std::size_t n, std::uint8_t* out) noexcept {
   pack_heads_scalar(r, n, out);
 }
 
-void join_heads(const std::uint8_t* heads, std::size_t bit0,
-                const std::uint32_t* mags, float scale, float* out,
-                std::size_t n) noexcept {
+void join_heads(const std::uint8_t* heads, const std::uint32_t* mags,
+                float scale, float* out, std::size_t n) noexcept {
 #if TRIMGRAD_SIMD_X86
   if (active_isa() == Isa::kAvx2)
-    return join_heads_avx2(heads, bit0, mags, scale, out, n);
+    return join_heads_avx2(heads, mags, scale, out, n);
 #endif
-  join_heads_scalar(heads, bit0, mags, scale, out, n);
+  join_heads_scalar(heads, mags, scale, out, n);
 }
 
 void pack31(const void* in, std::size_t n, std::uint8_t* out) noexcept {

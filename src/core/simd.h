@@ -93,13 +93,12 @@ void join_sign_mag(const std::uint8_t* heads, const std::uint32_t* tails,
 void pack_heads(const float* r, std::size_t n, std::uint8_t* out) noexcept;
 
 /// Decode-side join of one packet's coordinates, straight from its head
-/// region: head i is bit (bit0 + i) of the MSB-first `heads` stream, and
+/// region: head i is bit i of the MSB-first `heads` stream, and
 ///   out[i] = float((head i ? 0 : sign bit) | (mags[i] & 0x7fffffff)),
 /// or, with mags == nullptr (a trimmed packet), the magnitude bits of
 /// `scale` in place of mags[i]: ±|scale| with the head's sign.
-void join_heads(const std::uint8_t* heads, std::size_t bit0,
-                const std::uint32_t* mags, float scale, float* out,
-                std::size_t n) noexcept;
+void join_heads(const std::uint8_t* heads, const std::uint32_t* mags,
+                float scale, float* out, std::size_t n) noexcept;
 
 /// The 31-bit tail run: pack n values (native 32-bit words of `in`, e.g.
 /// float bits, masked to their low 31 bits) MSB-first into the

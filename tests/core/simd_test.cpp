@@ -226,24 +226,18 @@ TEST(SimdHeadBits, PackAndJoinMatchBitStreamOnEveryIsa) {
       std::vector<std::uint8_t> packed(bytes_for_bits(n));
       simd::pack_heads(r.data(), n, packed.data());
       expect_bytes_eq(want, packed, "pack_heads");
-      // Join from every bit offset of a stream with 0..15 leading bits;
-      // the buffer ends exactly at the last head bit.
-      for (std::size_t bit0 = 0; bit0 < 16; ++bit0) {
-        BitWriter lead;
-        for (std::size_t i = 0; i < bit0; ++i) lead.put_bit(i % 3 == 0);
-        lead.put_bits8(bools.data(), n);
-        const std::vector<std::uint8_t> stream = std::move(lead).finish();
-        for (const bool trimmed : {false, true}) {
-          std::vector<float> got(n), exp(n);
-          simd::join_heads(stream.data(), bit0, trimmed ? nullptr : mags.data(),
-                           -0.75f, got.data(), n);
-          for (std::size_t i = 0; i < n; ++i) {
-            const std::uint32_t mag =
-                trimmed ? float_bits(0.75f) : mags[i] & 0x7fffffffu;
-            exp[i] = bits_float((bools[i] ? 0u : 0x80000000u) | mag);
-          }
-          expect_bytes_eq(exp, got, "join_heads");
+      // Join from the packed heads; the buffer ends exactly at the last
+      // head bit.
+      for (const bool trimmed : {false, true}) {
+        std::vector<float> got(n), exp(n);
+        simd::join_heads(want.data(), trimmed ? nullptr : mags.data(), -0.75f,
+                         got.data(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::uint32_t mag =
+              trimmed ? float_bits(0.75f) : mags[i] & 0x7fffffffu;
+          exp[i] = bits_float((bools[i] ? 0u : 0x80000000u) | mag);
         }
+        expect_bytes_eq(exp, got, "join_heads");
       }
     }
   }
