@@ -14,16 +14,11 @@
 #include "core/quantizer.h"
 #include "core/rht_codec.h"
 #include "core/simd.h"
-#include "core/sparsify.h"
 #include "core/threadpool.h"
 
 namespace trimgrad::core {
 
 namespace {
-
-/// sparsify: share of coordinates kept before encoding; the MLT observation
-/// puts the near-free share at ~0.8 dropped.
-constexpr double kTopKKeep = 0.25;
 
 /// Expand a stored q-bit tail back to the 31-bit container, filling the
 /// dropped low bits with their bucket midpoint.
@@ -166,9 +161,7 @@ void decode_baseline(const CodecConfig&,
 
 // ------------------------------------------------------- §3.1 scalar heads --
 // sign/sq/sd: one head bit and a q-bit tail per coordinate, with the
-// message-level scale (σ or L) in the metadata. sparsify rides SD
-// heads/tails over a sparsified buffer; SD's shared-dither reconstruction
-// needs no extra sender state.
+// message-level scale (σ or L) in the metadata.
 
 template <ScalarScheme ss>
 void encode_scalar(const CodecConfig& cfg, Xoshiro256& private_rng,
@@ -234,16 +227,6 @@ void decode_scalar(const CodecConfig& cfg,
   }
   for (std::uint8_t s : seen)
     if (s == 0) ++out.stats.lost_coords;
-}
-
-/// sparsify (§5.3): drop the smallest-magnitude share before encoding, then
-/// ship the survivors trimmably so switches can still compress further
-/// under unpredicted congestion.
-void encode_sparsify(const CodecConfig& cfg, Xoshiro256& private_rng,
-                     std::span<const float> grad, EncodedMessage& out) {
-  std::vector<float> kept(grad.begin(), grad.end());
-  topk_sparsify_inplace(kept, kTopKKeep);
-  encode_scalar<ScalarScheme::kSD>(cfg, private_rng, kept, out);
 }
 
 // ----------------------------------------------------------------- lowrank --
@@ -606,9 +589,9 @@ const CodecRegistry& CodecRegistry::global() {
         {"sd", Scheme::kSD, encode_scalar<ScalarScheme::kSD>,
          decode_scalar<ScalarScheme::kSD>, accepts_any},
         {"rht", Scheme::kRHT, encode_rht, decode_rht, accepts_rht},
-        {"sparsify", Scheme::kTopK, encode_sparsify,
-         decode_scalar<ScalarScheme::kSD>, accepts_any},
-        {},  // 6: the retired magnitude codec's byte, never reused
+        // 5 and 6: bytes of retired codecs, never reused.
+        {},
+        {},
         {"lowrank", Scheme::kLowRank, encode_lowrank, decode_lowrank,
          accepts_lowrank},
     };

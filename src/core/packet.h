@@ -24,15 +24,14 @@ namespace trimgrad::core {
 inline constexpr std::size_t kTransportHeaderBytes = 42;
 
 /// Gradient-encoding scheme carried in the packet header. The values are
-/// wire bytes: 6 (the retired magnitude codec's) names no codec, and the
-/// parsers reject it like any other unregistered byte.
+/// wire bytes: 5 and 6 (retired codecs') name no codec, and the parsers
+/// reject them like any other unregistered byte.
 enum class Scheme : std::uint8_t {
   kBaseline = 0,  ///< raw float32 coordinates, no head/tail split (Fig. 2a)
   kSign = 1,      ///< §3.1 sign-magnitude
   kSQ = 2,        ///< §3.1 stochastic quantization
   kSD = 3,        ///< §3.1 subtractive dithering
   kRHT = 4,       ///< §3.2 randomized-Hadamard-transform (DRIVE-style)
-  kTopK = 5,      ///< §5.3 ahead-of-time top-k sparsify, then SD heads/tails
   kLowRank = 7,   ///< §5.2 PowerSGD factors, rank-ordered trimmable layout
 };
 

@@ -22,7 +22,7 @@
 //      - "aimd-trim" — wraps core::AdaptiveQController: AIMD on observed
 //        congestion pressure, targeting a small positive trim rate
 //        ("slightly under-compress and over-send", §5.3).
-//      - "schedule"  — scripted switches: "0:rht@31;8:sparsify@15" applies
+//      - "schedule"  — scripted switches: "0:rht@31;8:sd@15" applies
 //        each entry from its round onward (ablations, regression repros).
 //
 // Policy state serializes to a byte blob so checkpoints can capture the
@@ -98,7 +98,7 @@ struct PolicyConfig {
   unsigned q_bits = 31;          ///< base tail depth
   AdaptiveQConfig aimd{};        ///< aimd-trim controller knobs
   /// schedule policy script: ';'-separated "round:codec@q" entries, each
-  /// applying from its round onward. Example: "0:rht@31;8:sparsify@15".
+  /// applying from its round onward. Example: "0:rht@31;8:sd@15".
   std::string schedule;
 };
 

@@ -223,12 +223,6 @@ constexpr Golden kGolden[] = {
     {"sign_n32768_row32768_q31", 0x64567997c661537cull, 0xd56f91602cc2470cull},
     {"sign_n32768_row32768_q16", 0xb7e48ef412ee0e69ull, 0x4e300d62b82b464cull},
     {"sign_n32768_row32768_q8", 0x480834517be36c76ull, 0x95bd72fbfe258e5full},
-    {"sparsify_n49866_row1024_q31", 0x9108deeda51071cull,
-     0xcfd893941ab41cdfull},
-    {"sparsify_n100000_row4096_q31", 0x63ae803ff7d4a2e3ull,
-     0x43b43aff5de4b597ull},
-    {"sparsify_n32768_row32768_q31", 0xd57ffdf9339004d6ull,
-     0xd6bca574f4c9d039ull},
     {"sq_n49866_row1024_q31", 0xd0b199b70251b037ull, 0x3fd200b2b8f9cfe5ull},
     {"sq_n49866_row1024_q16", 0x528278817db9a08dull, 0x7f3af6e469af059dull},
     {"sq_n49866_row1024_q8", 0xc331d8aadc475582ull, 0xf4e3a0814968263cull},

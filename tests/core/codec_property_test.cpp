@@ -114,8 +114,7 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, CodecGrid,
     ::testing::Combine(
         ::testing::Values(Scheme::kBaseline, Scheme::kSign, Scheme::kSQ,
-                          Scheme::kSD, Scheme::kRHT, Scheme::kTopK,
-                          Scheme::kLowRank),
+                          Scheme::kSD, Scheme::kRHT, Scheme::kLowRank),
         ::testing::Values<std::size_t>(1, 363, 364, 365, 1024, 5000),
         ::testing::Values(0.0, 0.3, 1.0)),
     [](const ::testing::TestParamInfo<Grid>& info) {

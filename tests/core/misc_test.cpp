@@ -1,4 +1,4 @@
-// Tests for sparsify (§5.2), transcript (§5.4) and magnitude layout (§2).
+// Tests for transcript (§5.4) and magnitude layout (§2).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,7 +7,6 @@
 
 #include "core/magnitude.h"
 #include "core/prng.h"
-#include "core/sparsify.h"
 #include "core/stats.h"
 #include "core/transcript.h"
 
@@ -19,68 +18,6 @@ std::vector<float> gaussian_vec(std::size_t n, std::uint64_t seed) {
   std::vector<float> v(n);
   for (auto& x : v) x = static_cast<float>(rng.gaussian());
   return v;
-}
-
-// ---- sparsify ----
-
-TEST(Sparsify, KeepsExactlyTopK) {
-  std::vector<float> v = {0.1f, -5.0f, 0.2f, 3.0f, -0.05f, 1.0f};
-  topk_sparsify_inplace(v, 0.5);  // keep ceil(3) = 3
-  std::size_t nonzero = 0;
-  for (float x : v) nonzero += x != 0.0f ? 1 : 0;
-  EXPECT_EQ(nonzero, 3u);
-  EXPECT_FLOAT_EQ(v[1], -5.0f);
-  EXPECT_FLOAT_EQ(v[3], 3.0f);
-  EXPECT_FLOAT_EQ(v[5], 1.0f);
-}
-
-TEST(Sparsify, KeepAllIsNoOp) {
-  auto v = gaussian_vec(100, 1);
-  auto orig = v;
-  topk_sparsify_inplace(v, 1.0);
-  EXPECT_EQ(v, orig);
-}
-
-TEST(Sparsify, KeepNoneZerosEverything) {
-  auto v = gaussian_vec(100, 2);
-  topk_sparsify_inplace(v, 0.0);
-  for (float x : v) EXPECT_FLOAT_EQ(x, 0.0f);
-}
-
-TEST(Sparsify, HandlesTiesDeterministically) {
-  std::vector<float> v = {1.0f, 1.0f, 1.0f, 1.0f};
-  topk_sparsify_inplace(v, 0.5);
-  std::size_t nonzero = 0;
-  for (float x : v) nonzero += x != 0.0f ? 1 : 0;
-  EXPECT_EQ(nonzero, 2u);
-}
-
-TEST(Sparsify, TopkIndicesAreTheLargest) {
-  std::vector<float> v = {0.1f, -5.0f, 0.2f, 3.0f};
-  auto idx = topk_indices(v, 2);
-  ASSERT_EQ(idx.size(), 2u);
-  EXPECT_TRUE((idx[0] == 1 && idx[1] == 3) || (idx[0] == 3 && idx[1] == 1));
-}
-
-TEST(Sparsify, EnergyFractionMatchesMltObservation) {
-  // MLT/§2: dropping the smallest 20 % of gaussian-like gradients loses very
-  // little L2 mass — the top 80 % keep the overwhelming share.
-  auto v = gaussian_vec(100000, 3);
-  const double kept = topk_energy_fraction(v, 0.8);
-  EXPECT_GT(kept, 0.97);
-  // ... but the top 20 % alone already hold most of the energy.
-  EXPECT_GT(topk_energy_fraction(v, 0.2), 0.5);
-}
-
-TEST(Sparsify, EnergyFractionIsMonotone) {
-  auto v = gaussian_vec(10000, 4);
-  double prev = 0;
-  for (double r : {0.1, 0.3, 0.5, 0.7, 1.0}) {
-    const double e = topk_energy_fraction(v, r);
-    EXPECT_GE(e, prev);
-    prev = e;
-  }
-  EXPECT_DOUBLE_EQ(prev, 1.0);
 }
 
 // ---- transcript ----

@@ -124,8 +124,8 @@ TEST(GradientPacket, BaselineTrimLosesEverything) {
 
 TEST(SchemeNames, AllDistinct) {
   // Decode dispatches on the wire value, so every registered entry needs a
-  // name and a wire scheme of its own, and a full codec. Byte 6 (the
-  // retired magnitude codec's) names none.
+  // name and a wire scheme of its own, and a full codec. Bytes 5 and 6
+  // (retired codecs') name none.
   const auto& reg = CodecRegistry::global();
   std::set<std::string> names;
   std::set<Scheme> schemes;
@@ -136,8 +136,9 @@ TEST(SchemeNames, AllDistinct) {
     EXPECT_TRUE(schemes.insert(info.scheme).second) << name;
     EXPECT_EQ(&reg.of(info.scheme), &info) << name;
   }
+  EXPECT_EQ(reg.find(static_cast<Scheme>(5)), nullptr);
   EXPECT_EQ(reg.find(static_cast<Scheme>(6)), nullptr);
-  EXPECT_THROW((void)reg.at(""), std::invalid_argument);  // byte 6's slot
+  EXPECT_THROW((void)reg.at(""), std::invalid_argument);  // the empty slots
   EXPECT_EQ(reg.name_of(kPaperScheme), "rht");
 }
 

@@ -384,7 +384,7 @@ TEST(WireMeta, RhtRowLenMustBeNonzeroPowerOfTwo) {
 
 TEST(Wire, SchemeBytesWithoutACodecAreMalformed) {
   // Both parsers reject a CRC-valid header whose scheme byte names no
-  // registered codec (6 among them) as malformed input, not by
+  // registered codec (5 and 6 among them) as malformed input, not by
   // throwing from the registry lookup.
   TrimmableEncoder enc(cfg_of(Scheme::kSD));
   const auto msg = enc.encode(gaussian_vec(500, 11), 1, 1);

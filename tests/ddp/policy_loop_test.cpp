@@ -191,14 +191,14 @@ TEST(PolicyLoop, CheckpointRestoreReplaysInterruptedTrajectory) {
 }
 
 TEST(PolicyLoop, SchedulePolicySwapsCodecOnCue) {
-  // A scripted mid-run swap to the sparsify codec: the decision log shows
-  // the swap and the active codec config follows it.
+  // A scripted mid-run swap from rht to sd, across wire schemes: the
+  // decision log shows the swap and the active codec config follows it.
   ml::SynthCifar data(small_data_config());
   collective::InjectChannel::Config ccfg;
   ccfg.world = 4;
   collective::InjectChannel channel(ccfg);
   TrainerConfig tcfg = policy_trainer_config("schedule");
-  tcfg.policy.schedule = "3:sparsify@15";
+  tcfg.policy.schedule = "3:sd@15";
   core::ThreadPool::set_global_threads(1);
   DdpTrainer trainer(data, channel, tcfg, [] {
     ml::ModelConfig mcfg;
@@ -210,8 +210,8 @@ TEST(PolicyLoop, SchedulePolicySwapsCodecOnCue) {
   const auto& ds = trainer.decisions();
   ASSERT_GT(ds.size(), 3u);
   EXPECT_EQ(ds[2], (core::PolicyDecision{"rht", 31}));
-  EXPECT_EQ(ds[3], (core::PolicyDecision{"sparsify", 15}));
-  EXPECT_EQ(trainer.active_codec().scheme, core::Scheme::kTopK);
+  EXPECT_EQ(ds[3], (core::PolicyDecision{"sd", 15}));
+  EXPECT_EQ(trainer.active_codec().scheme, core::Scheme::kSD);
   EXPECT_EQ(trainer.active_codec().layout.q_bits, 15u);
 }
 
