@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/codec_registry.h"
+#include "core/le_bytes.h"
 #include "core/simd.h"
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -21,27 +22,6 @@ namespace trimgrad::core {
 
 namespace {
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xff));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
-
-void put_f32(std::vector<std::uint8_t>& out, float v) {
-  std::uint32_t b;
-  std::memcpy(&b, &v, 4);
-  put_u32(out, b);
-}
-
 class Cursor {
  public:
   explicit Cursor(std::span<const std::uint8_t> data) : data_(data) {}
@@ -49,40 +29,23 @@ class Cursor {
   bool has(std::size_t n) const noexcept { return off_ + n <= data_.size(); }
   std::size_t remaining() const noexcept { return data_.size() - off_; }
 
-  std::uint16_t u16() noexcept {
-    const std::uint16_t v = static_cast<std::uint16_t>(
-        data_[off_] | (static_cast<std::uint16_t>(data_[off_ + 1]) << 8));
-    off_ += 2;
-    return v;
-  }
-  std::uint32_t u32() noexcept {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(data_[off_ + i]) << (8 * i);
-    off_ += 4;
-    return v;
-  }
-  std::uint64_t u64() noexcept {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(data_[off_ + i]) << (8 * i);
-    off_ += 8;
-    return v;
-  }
-  float f32() noexcept {
-    const std::uint32_t b = u32();
-    float v;
-    std::memcpy(&v, &b, 4);
-    return v;
-  }
+  std::uint16_t u16() noexcept { return load_u16(take(2)); }
+  std::uint32_t u32() noexcept { return load_u32(take(4)); }
+  std::uint64_t u64() noexcept { return load_u64(take(8)); }
+  float f32() noexcept { return load_f32(take(4)); }
   std::vector<std::uint8_t> bytes(std::size_t n) {
-    std::vector<std::uint8_t> out(data_.begin() + off_,
-                                  data_.begin() + off_ + n);
-    off_ += n;
-    return out;
+    const std::uint8_t* p = take(n);
+    return {p, p + n};
   }
 
  private:
+  /// Start of the next n bytes, which the caller checked with has().
+  const std::uint8_t* take(std::size_t n) noexcept {
+    const std::uint8_t* p = data_.subspan(off_, n).data();
+    off_ += n;
+    return p;
+  }
+
   std::span<const std::uint8_t> data_;
   std::size_t off_ = 0;
 };
@@ -95,13 +58,6 @@ const CodecInfo* codec_of_byte(std::uint8_t scheme) noexcept {
 
 /// Offset of the head_crc field (the non-CRC header prefix it covers).
 constexpr std::size_t kCrcFieldOffset = 28;
-
-/// Overwrite 4 bytes at `at` with a little-endian u32 (CRC field patching).
-void patch_u32(std::vector<std::uint8_t>& out, std::size_t at,
-               std::uint32_t v) noexcept {
-  for (int i = 0; i < 4; ++i)
-    out[at + i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xff);
-}
 
 /// Slice-by-8 lookup tables: t[0] is the classic per-byte table; t[k]
 /// advances a byte's contribution k more bytes through the shift register,
@@ -250,8 +206,8 @@ std::vector<std::uint8_t> serialize_packet(const GradientPacket& pkt) {
              crc32c({out.data(), kCrcFieldOffset}));
   const std::uint32_t tail_crc =
       crc32c({out.data() + tail_at, pkt.tail_region.size()});
-  patch_u32(out, kCrcFieldOffset, head_crc);
-  patch_u32(out, kCrcFieldOffset + 4, tail_crc);
+  store_u32(out.data() + kCrcFieldOffset, head_crc);
+  store_u32(out.data() + kCrcFieldOffset + 4, tail_crc);
   return out;
 }
 

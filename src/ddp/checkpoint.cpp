@@ -1,11 +1,10 @@
 #include "ddp/checkpoint.h"
 
-#include <bit>
-#include <cstring>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
 
+#include "core/le_bytes.h"
 #include "core/wire.h"
 
 namespace trimgrad::ddp {
@@ -15,23 +14,9 @@ namespace {
 // "TGCK" little-endian: TrimGrad ChecKpoint.
 constexpr std::uint32_t kMagic = 0x4b434754;
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_f32(std::vector<std::uint8_t>& out, float v) {
-  put_u32(out, std::bit_cast<std::uint32_t>(v));
-}
-
 void put_floats(std::vector<std::uint8_t>& out, const std::vector<float>& v) {
-  put_u64(out, v.size());
-  for (float f : v) put_f32(out, f);
+  core::put_u64(out, v.size());
+  for (float f : v) core::put_f32(out, f);
 }
 
 /// Bounds-checked little-endian reader over the blob.
@@ -44,25 +29,17 @@ struct Reader {
                              std::to_string(pos));
   }
 
-  std::uint32_t u32() {
-    if (data.size() - pos < 4) fail_truncated();
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(data[pos + i]) << (8 * i);
-    pos += 4;
-    return v;
+  /// Start of the next n bytes; throws when fewer remain.
+  const std::uint8_t* take(std::size_t n) {
+    if (data.size() - pos < n) fail_truncated();
+    const std::uint8_t* p = data.subspan(pos, n).data();
+    pos += n;
+    return p;
   }
 
-  std::uint64_t u64() {
-    if (data.size() - pos < 8) fail_truncated();
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(data[pos + i]) << (8 * i);
-    pos += 8;
-    return v;
-  }
-
-  float f32() { return std::bit_cast<float>(u32()); }
+  std::uint32_t u32() { return core::load_u32(take(4)); }
+  std::uint64_t u64() { return core::load_u64(take(8)); }
+  float f32() { return core::load_f32(take(4)); }
 
   std::vector<float> floats() {
     const std::uint64_t n = u64();
@@ -81,22 +58,22 @@ struct Reader {
 std::vector<std::uint8_t> Checkpoint::to_bytes() const {
   std::vector<std::uint8_t> out;
   out.reserve(64 + 4 * (params.size() + residual.size()));
-  put_u32(out, kMagic);
-  put_u32(out, kFormatVersion);
-  put_u32(out, static_cast<std::uint32_t>(rank));
-  put_u64(out, epoch);
-  put_u64(out, round);
-  put_u64(out, view_version);
-  put_f32(out, lr);
-  put_u64(out, opt_epoch);
-  for (std::uint64_t w : augment_rng) put_u64(out, w);
+  core::put_u32(out, kMagic);
+  core::put_u32(out, kFormatVersion);
+  core::put_u32(out, static_cast<std::uint32_t>(rank));
+  core::put_u64(out, epoch);
+  core::put_u64(out, round);
+  core::put_u64(out, view_version);
+  core::put_f32(out, lr);
+  core::put_u64(out, opt_epoch);
+  for (std::uint64_t w : augment_rng) core::put_u64(out, w);
   put_floats(out, params);
-  put_u64(out, velocity.size());
+  core::put_u64(out, velocity.size());
   for (const auto& buf : velocity) put_floats(out, buf);
   put_floats(out, residual);
-  put_u64(out, policy_state.size());
+  core::put_u64(out, policy_state.size());
   out.insert(out.end(), policy_state.begin(), policy_state.end());
-  put_u32(out, core::crc32c({out.data(), out.size()}));
+  core::put_u32(out, core::crc32c({out.data(), out.size()}));
   return out;
 }
 
@@ -113,10 +90,7 @@ Checkpoint Checkpoint::from_bytes(std::span<const std::uint8_t> blob) {
 
   // Verify the trailing CRC before trusting any length-prefixed section.
   const std::uint32_t want = core::crc32c(blob.first(blob.size() - 4));
-  std::uint32_t got = 0;
-  for (int i = 0; i < 4; ++i)
-    got |= static_cast<std::uint32_t>(blob[blob.size() - 4 + i]) << (8 * i);
-  if (want != got)
+  if (want != core::load_u32(blob.last(4).data()))
     throw std::runtime_error("Checkpoint: CRC mismatch (blob damaged)");
 
   Checkpoint ck;
@@ -136,10 +110,8 @@ Checkpoint Checkpoint::from_bytes(std::span<const std::uint8_t> blob) {
   if (version >= 2) {
     const std::uint64_t nb = rd.u64();
     if (rd.data.size() - rd.pos < nb) rd.fail_truncated();
-    ck.policy_state.assign(rd.data.begin() + static_cast<std::ptrdiff_t>(rd.pos),
-                           rd.data.begin() +
-                               static_cast<std::ptrdiff_t>(rd.pos + nb));
-    rd.pos += static_cast<std::size_t>(nb);
+    const std::uint8_t* p = rd.take(static_cast<std::size_t>(nb));
+    ck.policy_state.assign(p, p + nb);
   }
   if (rd.pos != rd.data.size())
     throw std::runtime_error("Checkpoint: trailing garbage after payload");

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "core/codec_registry.h"
+#include "core/le_bytes.h"
 #include "core/metrics.h"
 #include "core/prng.h"
 #include "core/threadpool.h"
@@ -123,8 +124,7 @@ std::vector<std::uint8_t> DdpTrainer::policy_state_blob() const {
   // everything decide() consumes besides the round index.
   std::vector<std::uint8_t> blob;
   const auto ps = policy_->state();
-  for (int i = 0; i < 4; ++i)
-    blob.push_back(static_cast<std::uint8_t>(ps.size() >> (8 * i)));
+  core::put_u32(blob, static_cast<std::uint32_t>(ps.size()));
   blob.insert(blob.end(), ps.begin(), ps.end());
   core::append_feedback(blob, last_fb_);
   return blob;
@@ -135,9 +135,7 @@ void DdpTrainer::restore_control_plane(const Checkpoint& ck) {
   if (ck.policy_state.empty()) return;  // v1 blob: no control plane captured
   const std::span<const std::uint8_t> b{ck.policy_state};
   if (b.size() < 4) throw std::runtime_error("policy_state: blob truncated");
-  std::uint32_t n = 0;
-  for (int i = 0; i < 4; ++i)
-    n |= static_cast<std::uint32_t>(b[i]) << (8 * i);
+  const std::uint32_t n = core::load_u32(b.first(4).data());
   if (b.size() - 4 < n)
     throw std::runtime_error("policy_state: blob truncated");
   policy_->restore(b.subspan(4, n));
