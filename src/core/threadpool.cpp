@@ -9,6 +9,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/number_text.h"
+
 namespace trimgrad::core {
 
 namespace {
@@ -20,9 +22,8 @@ thread_local bool tls_in_pool_worker = false;
 
 std::size_t default_thread_count() {
   if (const char* env = std::getenv("TRIMGRAD_THREADS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && v >= 1) return static_cast<std::size_t>(v);
+    const auto v = parse_uint(env, ThreadPool::kMaxThreads);
+    if (v.has_value() && *v >= 1) return static_cast<std::size_t>(*v);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw != 0 ? hw : 1;

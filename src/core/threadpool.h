@@ -46,6 +46,10 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
+  /// Most workers a pool may be asked for by outside input (a spec's
+  /// threads key, TRIMGRAD_THREADS).
+  static constexpr std::size_t kMaxThreads = 256;
+
   /// Total worker count including the caller.
   std::size_t thread_count() const noexcept;
 
@@ -56,8 +60,8 @@ class ThreadPool {
   void parallel_for(std::size_t n, std::size_t grain, ParallelForFn fn);
 
   /// Process-wide pool used by the codec/GEMM/trainer hot paths. Sized on
-  /// first use from the TRIMGRAD_THREADS environment variable, falling back
-  /// to std::thread::hardware_concurrency().
+  /// first use from the TRIMGRAD_THREADS environment variable when it holds
+  /// 1..kMaxThreads, else from std::thread::hardware_concurrency().
   static ThreadPool& global();
 
   /// Replace the global pool with one of `threads` workers. Callers must

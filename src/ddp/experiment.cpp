@@ -1,11 +1,12 @@
 #include "ddp/experiment.h"
 
 #include <cctype>
-#include <cstdio>
-#include <cstdlib>
+#include <climits>
+#include <cstdint>
 #include <stdexcept>
 
 #include "core/codec_registry.h"
+#include "core/number_text.h"
 #include "core/threadpool.h"
 #include "net/transport_registry.h"
 
@@ -27,35 +28,16 @@ constexpr const char* kKeys[] = {
 }
 
 double parse_double(const std::string& key, const std::string& value) {
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') {
-    throw std::invalid_argument("ExperimentSpec: bad number for '" + key +
-                                "': '" + value + "'");
-  }
-  return v;
+  if (const auto v = core::parse_double(value)) return *v;
+  throw std::invalid_argument("ExperimentSpec: bad number for '" + key +
+                              "': '" + value + "'");
 }
 
-std::uint64_t parse_uint(const std::string& key, const std::string& value) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') {
-    throw std::invalid_argument("ExperimentSpec: bad integer for '" + key +
-                                "': '" + value + "'");
-  }
-  return static_cast<std::uint64_t>(v);
-}
-
-std::string format_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  // Prefer the shortest representation that round-trips exactly.
-  for (int prec = 1; prec < 17; ++prec) {
-    char shorter[40];
-    std::snprintf(shorter, sizeof(shorter), "%.*g", prec, v);
-    if (std::strtod(shorter, nullptr) == v) return shorter;
-  }
-  return buf;
+std::uint64_t parse_uint(const std::string& key, const std::string& value,
+                         std::uint64_t max = UINT64_MAX) {
+  if (const auto v = core::parse_uint(value, max)) return *v;
+  throw std::invalid_argument("ExperimentSpec: bad integer for '" + key +
+                              "': '" + value + "'");
 }
 
 }  // namespace
@@ -101,7 +83,7 @@ ExperimentSpec ExperimentSpec::parse(const std::string& text) {
     } else if (key == "deadline") {
       spec.deadline = parse_double(key, value);
     } else if (key == "world") {
-      spec.world = static_cast<int>(parse_uint(key, value));
+      spec.world = static_cast<int>(parse_uint(key, value, INT_MAX));
     } else if (key == "epochs") {
       spec.epochs = parse_uint(key, value);
     } else if (key == "batch") {
@@ -146,21 +128,21 @@ std::string ExperimentSpec::serialize() const {
   out += ",scheme=" + scheme;
   out += ",topology=" + topology;
   out += ",faults=" + faults;
-  out += ",trim=" + format_double(trim);
-  out += ",drop=" + format_double(drop);
-  out += ",deadline=" + format_double(deadline);
+  out += ",trim=" + core::format_double(trim);
+  out += ",drop=" + core::format_double(drop);
+  out += ",deadline=" + core::format_double(deadline);
   out += ",world=" + std::to_string(world);
   out += ",epochs=" + std::to_string(epochs);
   out += ",batch=" + std::to_string(batch);
-  out += ",lr=" + format_double(lr);
+  out += ",lr=" + core::format_double(lr);
   out += ",seed=" + std::to_string(seed);
   out += ",fault_seed=" + std::to_string(fault_seed);
   out += ",threads=" + std::to_string(threads);
-  out += ",heartbeat_ms=" + format_double(heartbeat_ms);
+  out += ",heartbeat_ms=" + core::format_double(heartbeat_ms);
   out += ",evict_after=" + std::to_string(evict_after);
   out += ",ckpt_every=" + std::to_string(ckpt_every);
   out += ",policy=" + policy;
-  out += ",policy_target=" + format_double(policy_target);
+  out += ",policy_target=" + core::format_double(policy_target);
   out += ",policy_min_q=" + std::to_string(policy_min_q);
   out += ",policy_max_q=" + std::to_string(policy_max_q);
   out += ",schedule=" + schedule;
@@ -170,7 +152,7 @@ std::string ExperimentSpec::serialize() const {
 
 std::string ExperimentSpec::label() const {
   std::string out = "transport=" + transport + ",scheme=" + scheme +
-                    ",trim=" + format_double(trim);
+                    ",trim=" + core::format_double(trim);
   if (policy != "fixed") out += ",policy=" + policy;
   return out;
 }
@@ -206,6 +188,19 @@ void ExperimentSpec::validate() const {
   if (batch == 0 || epochs == 0) {
     throw std::invalid_argument(
         "ExperimentSpec: batch and epochs must be positive");
+  }
+  if (lr <= 0) {
+    throw std::invalid_argument("ExperimentSpec: lr must be positive");
+  }
+  if (deadline < 0) {
+    throw std::invalid_argument(
+        "ExperimentSpec: deadline must be >= 0 (0 disables it)");
+  }
+  if (threads > core::ThreadPool::kMaxThreads) {
+    throw std::invalid_argument(
+        "ExperimentSpec: threads must be in [0, " +
+        std::to_string(core::ThreadPool::kMaxThreads) +
+        "] (0 keeps TRIMGRAD_THREADS or the hardware count)");
   }
   if (trim < 0 || trim > 1 || drop < 0 || drop > 1) {
     throw std::invalid_argument(

@@ -57,7 +57,9 @@ struct ExperimentSpec {
   // --- seeds & parallelism -------------------------------------------
   std::uint64_t seed = 2024;      ///< injector / data seed
   std::uint64_t fault_seed = 1;   ///< keys fault plane + straggler choice
-  std::uint64_t threads = 0;      ///< 0 = TRIMGRAD_THREADS / hardware
+  /// Pool size, at most core::ThreadPool::kMaxThreads; 0 = TRIMGRAD_THREADS
+  /// or the hardware count.
+  std::uint64_t threads = 0;
 
   // --- elastic membership (ddp/membership.h) -------------------------
   /// Heartbeat window per round, in milliseconds. 0 = membership off

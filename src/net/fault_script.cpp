@@ -2,59 +2,38 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <tuple>
 
+#include "core/number_text.h"
 #include "core/prng.h"
 
 namespace trimgrad::net {
 namespace {
 
-/// Shortest decimal form that round-trips to the exact double (same idiom
-/// as ExperimentSpec's serializer): try increasing precision until strtod
-/// gives the bits back, so serialize(parse(s)) == s for canonical output.
-std::string format_double(double v) {
-  char buf[64];
-  for (int prec = 1; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
-  return buf;
-}
+using core::format_double;
 
 double parse_double(const std::string& tok, const std::string& line) {
-  std::size_t pos = 0;
-  double v = 0;
-  try {
-    v = std::stod(tok, &pos);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("FaultScript: bad number '" + tok +
-                                "' in line: " + line);
-  }
-  if (pos != tok.size())
-    throw std::invalid_argument("FaultScript: bad number '" + tok +
-                                "' in line: " + line);
-  return v;
+  if (const auto v = core::parse_double(tok)) return *v;
+  throw std::invalid_argument("FaultScript: bad number '" + tok +
+                              "' in line: " + line);
 }
 
-std::uint64_t parse_u64(const std::string& tok, const std::string& line) {
-  std::size_t pos = 0;
-  std::uint64_t v = 0;
-  try {
-    v = std::stoull(tok, &pos);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("FaultScript: bad integer '" + tok +
-                                "' in line: " + line);
-  }
-  if (pos != tok.size())
-    throw std::invalid_argument("FaultScript: bad integer '" + tok +
-                                "' in line: " + line);
-  return v;
+std::uint64_t parse_uint(const std::string& tok, const std::string& line,
+                         std::uint64_t max = UINT64_MAX) {
+  if (const auto v = core::parse_uint(tok, max)) return *v;
+  throw std::invalid_argument("FaultScript: bad integer '" + tok +
+                              "' in line: " + line);
+}
+
+NodeId parse_node(const std::string& tok, const std::string& line) {
+  return static_cast<NodeId>(
+      parse_uint(tok, line, std::numeric_limits<NodeId>::max()));
 }
 
 std::vector<std::string> tokens_of(const std::string& line) {
@@ -121,7 +100,7 @@ FaultScript FaultScript::parse(const std::string& text) {
     const std::string& d = toks[0];
     if (d == "seed") {
       expect_fields(toks, 2, line);
-      s.plane.seed = parse_u64(toks[1], line);
+      s.plane.seed = parse_uint(toks[1], line);
     } else if (d == "corrupt_rate") {
       expect_fields(toks, 2, line);
       s.plane.corrupt_rate = parse_double(toks[1], line);
@@ -131,30 +110,30 @@ FaultScript FaultScript::parse(const std::string& text) {
     } else if (d == "corrupt") {
       expect_fields(toks, 4, line);
       CorruptRule c;
-      c.node = static_cast<NodeId>(parse_u64(toks[1], line));
-      c.port = static_cast<std::size_t>(parse_u64(toks[2], line));
+      c.node = parse_node(toks[1], line);
+      c.port = static_cast<std::size_t>(parse_uint(toks[2], line));
       c.rate = parse_double(toks[3], line);
       s.plane.corrupt_overrides.push_back(c);
     } else if (d == "link") {
       expect_fields(toks, 9, line);
       LinkFault l;
-      l.node = static_cast<NodeId>(parse_u64(toks[1], line));
-      l.port = static_cast<std::size_t>(parse_u64(toks[2], line));
+      l.node = parse_node(toks[1], line);
+      l.port = static_cast<std::size_t>(parse_uint(toks[2], line));
       l.start = parse_double(toks[3], line);
       l.duration = parse_double(toks[4], line);
       l.bandwidth_scale = parse_double(toks[5], line);
       l.latency_scale = parse_double(toks[6], line);
       l.period = parse_double(toks[7], line);
-      l.repeats = static_cast<std::size_t>(parse_u64(toks[8], line));
+      l.repeats = static_cast<std::size_t>(parse_uint(toks[8], line));
       s.plane.link_faults.push_back(l);
     } else if (d == "node") {
       expect_fields(toks, 6, line);
       NodeFault n;
-      n.node = static_cast<NodeId>(parse_u64(toks[1], line));
+      n.node = parse_node(toks[1], line);
       n.start = parse_double(toks[2], line);
       n.duration = parse_double(toks[3], line);
       n.period = parse_double(toks[4], line);
-      n.repeats = static_cast<std::size_t>(parse_u64(toks[5], line));
+      n.repeats = static_cast<std::size_t>(parse_uint(toks[5], line));
       s.plane.node_faults.push_back(n);
     } else {
       throw std::invalid_argument("FaultScript: unknown directive in line: " +

@@ -6,6 +6,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace trimgrad::net {
 namespace {
@@ -83,6 +84,23 @@ TEST(FaultScript, ParseRejectsMalformedInput) {
   EXPECT_THROW(FaultScript::parse("faultscript v1\ncorrupt_rate 0.5x\n"),
                std::invalid_argument)
       << "trailing junk after a number";
+}
+
+TEST(FaultScript, ParseRejectsNumbersOutsideTheirFieldsRange) {
+  // A sign on an integer field, a node id past NodeId, an overflowing seed
+  // and a non-finite double are bad numbers, not wrapped or NaN values.
+  for (const char* line :
+       {"node -1 0.001 0.002 0 1", "node 4294967296 0.001 0.002 0 1",
+        "corrupt 3 -1 0.5", "seed 99999999999999999999999",
+        "corrupt_rate nan", "straggler inf", "link 1 2 0 1e400 0 1 0 1"}) {
+    EXPECT_THROW(FaultScript::parse(std::string("faultscript v1\n") + line),
+                 std::invalid_argument)
+        << line;
+  }
+  EXPECT_EQ(FaultScript::parse("faultscript v1\nnode 4294967295 0 1 0 1")
+                .plane.node_faults.at(0)
+                .node,
+            4294967295u);
 }
 
 TEST(FaultScript, ParseErrorNamesTheOffendingLine) {
