@@ -1,5 +1,6 @@
 #include "collective/sim_channel.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "core/metrics.h"
@@ -116,6 +117,12 @@ std::vector<Delivery> SimChannel::transfer(std::vector<TransferRequest> batch) {
     // fire on_complete, so `done` holds unless the transport is
     // misconfigured with no give-up knob against a dead fabric.
     assert(lv->done && "flow neither completed nor failed");
+    if (lv->flow) {
+      pending_feedback_.corrupt_nacks +=
+          lv->flow->receiver_stats().corrupt_frames;
+      pending_feedback_.dctcp_alpha =
+          std::max(pending_feedback_.dctcp_alpha, lv->flow->ecn_alpha());
+    }
     out.push_back(std::move(lv->delivery));
   }
   note_batch(out);
@@ -124,33 +131,23 @@ std::vector<Delivery> SimChannel::transfer(std::vector<TransferRequest> batch) {
 
 core::NetFeedback SimChannel::take_feedback() {
   core::NetFeedback fb = Channel::take_feedback();
-  // Enrich with fabric telemetry. snapshot() is a sequential-phase call;
-  // the trainer drains feedback once per round, between collectives.
-  const auto snap = core::MetricsRegistry::global().snapshot();
-  for (const auto& g : snap.gauges) {
-    if (g.name == "net.ecn.alpha") fb.dctcp_alpha = g.value;
-  }
-  for (const auto& c : snap.counters) {
-    if (c.name == "net.fault.corrupt_detected") {
-      fb.corrupt_nacks = c.value - seen_corrupt_;
-      seen_corrupt_ = c.value;
+  // Read between collectives, when no event runs: the counts are settled.
+  std::uint64_t samples = 0;
+  std::uint64_t hot = 0;
+  for (net::NodeId id = 0; id < sim_.node_count(); ++id) {
+    const net::Node& node = sim_.node(id);
+    for (std::size_t p = 0; p < node.port_count(); ++p) {
+      const net::QueueCounters& c = node.port(p).queue().counters();
+      samples += c.enqueued + c.dropped;
+      hot += c.hot_samples;
     }
   }
-  for (const auto& h : snap.histograms) {
-    if (h.name != "net.queue.depth_bytes") continue;
-    std::uint64_t hot = 0;
-    for (std::size_t b = 0; b < h.counts.size(); ++b) {
-      if (b >= h.bounds.size() || h.bounds[b] >= 65536.0) hot += h.counts[b];
-    }
-    const std::uint64_t d_total = h.total - seen_depth_total_;
-    const std::uint64_t d_hot = hot - seen_depth_hot_;
-    seen_depth_total_ = h.total;
-    seen_depth_hot_ = hot;
-    if (d_total > 0) {
-      fb.queue_depth_frac =
-          static_cast<double>(d_hot) / static_cast<double>(d_total);
-    }
+  if (samples > seen_samples_) {
+    fb.queue_depth_frac = static_cast<double>(hot - seen_hot_) /
+                          static_cast<double>(samples - seen_samples_);
   }
+  seen_samples_ = samples;
+  seen_hot_ = hot;
   return fb;
 }
 

@@ -44,11 +44,10 @@ class SimChannel : public Channel {
     return static_cast<int>(rank_hosts_.size());
   }
 
-  /// The per-delivery counters, enriched with fabric telemetry the inject
-  /// channel cannot see: the last DCTCP alpha gauge, the round's corrupt
-  /// NACKs, and the fraction of queue-depth samples in the hot (>= 64 KiB)
-  /// buckets — all deltas against the previous snapshot of the process-wide
-  /// metrics registry, so consecutive rounds see disjoint windows.
+  /// The per-delivery counters, enriched with what only the fabric sees,
+  /// since the last call: the corrupt frames this channel's flows NACKed,
+  /// the largest final DCTCP alpha among them, and the share of depth
+  /// samples above net::kHotDepthBytes over its simulator's egress queues.
   core::NetFeedback take_feedback() override;
 
   net::Simulator& sim() { return sim_; }
@@ -67,10 +66,9 @@ class SimChannel : public Channel {
   Config cfg_;
   const WorldView* view_ = nullptr;
   std::uint32_t next_flow_id_ = 1 << 20;
-  // Metric cursors for take_feedback deltas.
-  std::uint64_t seen_corrupt_ = 0;
-  std::uint64_t seen_depth_total_ = 0;
-  std::uint64_t seen_depth_hot_ = 0;
+  // Queue sample cursors for take_feedback deltas.
+  std::uint64_t seen_samples_ = 0;
+  std::uint64_t seen_hot_ = 0;
 };
 
 }  // namespace trimgrad::collective

@@ -8,9 +8,8 @@
 //  * `NetFeedback` — a deterministic per-round snapshot of what the fabric
 //    did to the last round's packets (trims, drops, retransmits, corrupt
 //    NACKs, DCTCP alpha, queue-depth pressure), assembled by the collective
-//    Channel from counters the system already emits. Every field is derived
-//    from integer counters or sequential-phase gauges, so the snapshot is
-//    bit-identical across TRIMGRAD_THREADS.
+//    Channel from counts of its own run (and per-flow state read after the
+//    run), so the snapshot is bit-identical across TRIMGRAD_THREADS.
 //  * `CompressionPolicy` — decides, before each round, which registered
 //    packet-train codec to encode with and at what tail depth Q. Decisions
 //    are pure functions of (policy state, round, feedback): two runs that
@@ -42,7 +41,7 @@ namespace trimgrad::core {
 
 /// What the network did to one round's traffic. Assembled by the Channel
 /// (collective/channel.h) from per-delivery counters plus, on the fabric,
-/// the metrics registry; consumed by CompressionPolicy::decide.
+/// its own flows and queues; consumed by CompressionPolicy::decide.
 struct NetFeedback {
   std::uint64_t round = 0;        ///< the round this snapshot describes
   std::uint64_t packets = 0;      ///< data packets offered to the fabric
@@ -53,9 +52,8 @@ struct NetFeedback {
   std::uint64_t flow_failures = 0;  ///< flows that gave up (budget/deadline)
   std::uint64_t wire_bytes = 0;
   double comm_s = 0.0;            ///< simulated comm time of the round
-  double dctcp_alpha = 0.0;       ///< last net.ecn.alpha gauge, in [0, 1]
-  /// Fraction of queue-depth samples at or above the hot buckets (>= 64 KiB)
-  /// of net.queue.depth_bytes this round.
+  double dctcp_alpha = 0.0;  ///< largest final DCTCP alpha of the round's flows
+  /// Share of the round's queue-depth samples above net::kHotDepthBytes.
   double queue_depth_frac = 0.0;
 
   double trim_rate() const noexcept;

@@ -8,18 +8,11 @@
 namespace trimgrad::net {
 namespace {
 
-struct EcnTelemetry {
-  core::Counter marked_acks;
-  core::Gauge alpha;
-
-  static const EcnTelemetry& get() {
-    static const EcnTelemetry t{
-        core::MetricsRegistry::global().counter("net.ecn.marked_acks"),
-        core::MetricsRegistry::global().gauge("net.ecn.alpha"),
-    };
-    return t;
-  }
-};
+const core::Counter& marked_acks_counter() {
+  static const core::Counter c =
+      core::MetricsRegistry::global().counter("net.ecn.marked_acks");
+  return c;
+}
 
 }  // namespace
 
@@ -65,7 +58,6 @@ void EcnSender::end_of_window_round() {
           ? static_cast<double>(round_marks_) / static_cast<double>(round_acks_)
           : 0.0;
   alpha_ = (1.0 - cfg_.gain) * alpha_ + cfg_.gain * fraction;
-  EcnTelemetry::get().alpha.set(alpha_);
   if (round_marks_ > 0) {
     const auto cut = static_cast<std::size_t>(
         std::floor(static_cast<double>(window_) * (1.0 - alpha_ / 2.0)));
@@ -91,7 +83,7 @@ void EcnSender::on_frame(Frame&& frame) {
     ++round_acks_;
     if (frame.ecn) {
       ++round_marks_;
-      EcnTelemetry::get().marked_acks.add();
+      marked_acks_counter().add();
     }
     if (round_acks_ >= window_) end_of_window_round();
     core_.arm_timer();

@@ -64,6 +64,7 @@ bool EgressQueue::enqueue_header(Frame&& frame) {
 
 bool EgressQueue::enqueue(Frame&& frame) {
   occupancy_.add(static_cast<double>(data_bytes_));
+  if (data_bytes_ > kHotDepthBytes) ++counters_.hot_samples;
   QueueTelemetry::get().depth_bytes.observe(static_cast<double>(data_bytes_));
 
   // Control frames and already-trimmed frames ride the header queue

@@ -30,12 +30,18 @@ struct QueueConfig {
   std::size_t ecn_threshold_bytes = 30 * 1024;   ///< marking threshold (kEcn)
 };
 
+/// Enqueue-time data-queue depths above this are hot samples, the control
+/// plane's queue-pressure signal (core::NetFeedback::queue_depth_frac).
+inline constexpr std::size_t kHotDepthBytes = 16 * 1024;
+
+/// Every enqueue() is one depth sample and ends in `enqueued` or `dropped`.
 struct QueueCounters {
   std::uint64_t enqueued = 0;
   std::uint64_t dequeued = 0;
   std::uint64_t dropped = 0;
   std::uint64_t trimmed = 0;
   std::uint64_t ecn_marked = 0;
+  std::uint64_t hot_samples = 0;   ///< depth samples above kHotDepthBytes
   std::size_t max_data_bytes = 0;  ///< high-water mark of the data queue
 };
 

@@ -39,6 +39,10 @@ class EndpointFlow final : public Flow {
   const ReceiverStats& receiver_stats() const override {
     return receiver_.stats();
   }
+  double ecn_alpha() const override {
+    if constexpr (requires { sender_.alpha(); }) return sender_.alpha();
+    return 0.0;
+  }
 
  private:
   Rx receiver_;

@@ -65,6 +65,8 @@ class Flow {
   virtual SimTime current_rto() const = 0;
   virtual const FlowStats& stats() const = 0;
   virtual const ReceiverStats& receiver_stats() const = 0;
+  /// The sender's DCTCP alpha, final once on_complete fired; 0 without ECN.
+  virtual double ecn_alpha() const = 0;
 };
 
 /// A named transport: a factory for Flows plus its delivery policy.

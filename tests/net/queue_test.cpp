@@ -54,6 +54,20 @@ TEST(DropTail, AcceptsUntilFullThenDrops) {
   EXPECT_EQ(q.counters().enqueued, 2u);
 }
 
+TEST(QueueDepth, HotSamplesAreTheDepthsAboveSixteenKiB) {
+  QueueConfig cfg = small_cfg(QueuePolicy::kDropTail);
+  cfg.capacity_bytes = 20000;
+  EgressQueue q(cfg);
+  EXPECT_TRUE(q.enqueue(data_frame(kHotDepthBytes)));  // sampled at 0
+  EXPECT_TRUE(q.enqueue(data_frame(1)));    // sampled at exactly 16 KiB
+  EXPECT_EQ(q.counters().hot_samples, 0u);
+  EXPECT_TRUE(q.enqueue(data_frame(100)));  // sampled at 16 KiB + 1
+  EXPECT_FALSE(q.enqueue(data_frame(10000)));  // sampled hot, then dropped
+  EXPECT_EQ(q.counters().hot_samples, 2u);
+  // Every enqueue() is one sample and ends in exactly one of the two.
+  EXPECT_EQ(q.counters().enqueued + q.counters().dropped, 4u);
+}
+
 TEST(DropTail, DequeueIsFifo) {
   EgressQueue q(small_cfg(QueuePolicy::kDropTail));
   Frame a = data_frame(100);
