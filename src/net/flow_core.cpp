@@ -93,9 +93,10 @@ bool FlowCore::begin(std::vector<SendItem> items, const Limits& limits,
   if (limits_.flow_deadline > 0) {
     // A dedicated one-shot timer makes the deadline exact instead of
     // quantized to the (backed-off) RTO grid.
-    host_.sim().schedule(limits_.flow_deadline, [this, me = msg_epoch_] {
-      if (active_ && me == msg_epoch_) fail();
-    });
+    host_.sim().schedule_at(host_.id(), limits_.flow_deadline,
+                            [this, me = msg_epoch_] {
+                              if (active_ && me == msg_epoch_) fail();
+                            });
   }
   return false;
 }
@@ -174,7 +175,11 @@ void FlowCore::fast_retransmit(std::uint32_t seq) {
 
 void FlowCore::arm_timer() {
   const std::uint64_t epoch = ++timer_epoch_;
-  host_.sim().schedule(rto_cur_, [this, epoch] { on_timeout(epoch); });
+  // Anchored at the host, not at the caller: a flow started from outside
+  // any event (SimChannel::transfer) would otherwise get timers in domain
+  // 0, racing the host's own domain on a sharded simulator.
+  host_.sim().schedule_at(host_.id(), rto_cur_,
+                          [this, epoch] { on_timeout(epoch); });
 }
 
 void FlowCore::on_timeout(std::uint64_t epoch) {
