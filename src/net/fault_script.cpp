@@ -18,10 +18,19 @@ namespace {
 
 using core::format_double;
 
-double parse_double(const std::string& tok, const std::string& line) {
-  if (const auto v = core::parse_double(tok)) return *v;
-  throw std::invalid_argument("FaultScript: bad number '" + tok +
-                              "' in line: " + line);
+/// `tok` as a finite double in [lo, hi].
+double parse_double(const std::string& tok, const std::string& line,
+                    double lo,
+                    double hi = std::numeric_limits<double>::infinity()) {
+  const auto v = core::parse_double(tok);
+  if (!v)
+    throw std::invalid_argument("FaultScript: bad number '" + tok +
+                                "' in line: " + line);
+  if (*v < lo || *v > hi)
+    throw std::invalid_argument("FaultScript: value '" + tok + "' outside [" +
+                                format_double(lo) + ", " + format_double(hi) +
+                                "] in line: " + line);
+  return *v;
 }
 
 std::uint64_t parse_uint(const std::string& tok, const std::string& line,
@@ -103,36 +112,38 @@ FaultScript FaultScript::parse(const std::string& text) {
       s.plane.seed = parse_uint(toks[1], line);
     } else if (d == "corrupt_rate") {
       expect_fields(toks, 2, line);
-      s.plane.corrupt_rate = parse_double(toks[1], line);
+      s.plane.corrupt_rate = parse_double(toks[1], line, 0.0, 1.0);
     } else if (d == "straggler") {
       expect_fields(toks, 2, line);
-      s.straggler_factor = parse_double(toks[1], line);
+      s.straggler_factor = parse_double(toks[1], line, 1.0);
     } else if (d == "corrupt") {
       expect_fields(toks, 4, line);
       CorruptRule c;
       c.node = parse_node(toks[1], line);
       c.port = static_cast<std::size_t>(parse_uint(toks[2], line));
-      c.rate = parse_double(toks[3], line);
+      c.rate = parse_double(toks[3], line, 0.0, 1.0);
       s.plane.corrupt_overrides.push_back(c);
     } else if (d == "link") {
       expect_fields(toks, 9, line);
       LinkFault l;
       l.node = parse_node(toks[1], line);
       l.port = static_cast<std::size_t>(parse_uint(toks[2], line));
-      l.start = parse_double(toks[3], line);
-      l.duration = parse_double(toks[4], line);
-      l.bandwidth_scale = parse_double(toks[5], line);
-      l.latency_scale = parse_double(toks[6], line);
-      l.period = parse_double(toks[7], line);
+      l.start = parse_double(toks[3], line, 0.0);
+      l.duration = parse_double(toks[4], line, 0.0);
+      l.bandwidth_scale = parse_double(toks[5], line, 0.0);  // 0: hard down
+      // Below 1 a sharded run would deliver across domains sooner than the
+      // lookahead seal_partition computed.
+      l.latency_scale = parse_double(toks[6], line, 1.0);
+      l.period = parse_double(toks[7], line, 0.0);
       l.repeats = static_cast<std::size_t>(parse_uint(toks[8], line));
       s.plane.link_faults.push_back(l);
     } else if (d == "node") {
       expect_fields(toks, 6, line);
       NodeFault n;
       n.node = parse_node(toks[1], line);
-      n.start = parse_double(toks[2], line);
-      n.duration = parse_double(toks[3], line);
-      n.period = parse_double(toks[4], line);
+      n.start = parse_double(toks[2], line, 0.0);
+      n.duration = parse_double(toks[3], line, 0.0);
+      n.period = parse_double(toks[4], line, 0.0);
       n.repeats = static_cast<std::size_t>(parse_uint(toks[5], line));
       s.plane.node_faults.push_back(n);
     } else {

@@ -47,7 +47,10 @@ struct FaultScript {
   /// serialize(parse(s)) == s for any serialize() output.
   std::string serialize() const;
   /// Throws std::invalid_argument naming the offending line on malformed
-  /// input (unknown directive, wrong field count, bad number, bad header).
+  /// input (unknown directive, wrong field count, bad number, bad header)
+  /// and on a value outside its field's domain: rates in [0, 1]; start,
+  /// duration, period and bandwidth_scale >= 0; latency_scale and the
+  /// straggler factor >= 1.
   static FaultScript parse(const std::string& text);
 
   void save(std::ostream& os) const;

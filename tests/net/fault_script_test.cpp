@@ -103,6 +103,48 @@ TEST(FaultScript, ParseRejectsNumbersOutsideTheirFieldsRange) {
             4294967295u);
 }
 
+TEST(FaultScript, ParseRejectsValuesOutsideTheirDomain) {
+  // Probabilities outside [0, 1], negative times and scales, a latency
+  // scale that would shrink a link's delay, and a straggler that speeds a
+  // rank up are not faults the plane can apply.
+  for (const char* line :
+       {"corrupt_rate 7", "corrupt_rate -0.5", "corrupt 3 1 1.5",
+        "corrupt 3 1 -0.1", "straggler -3", "straggler 0.5",
+        "link 1 2 -1 1 0 1 0 1", "link 1 2 0 -1 0 1 0 1",
+        "link 1 2 0 1 -0.1 1 0 1", "link 1 2 0 1 0 0.5 0 1",
+        "link 1 2 0 1 0 1 -1 1", "node 1 -0.001 1 0 1", "node 1 0 -1 0 1",
+        "node 1 0 1 -1 1"}) {
+    try {
+      FaultScript::parse(std::string("faultscript v1\n") + line);
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(line), std::string::npos)
+          << "message was: " << e.what();
+    }
+  }
+  // The bounds themselves are valid.
+  const FaultScript s = FaultScript::parse(
+      "faultscript v1\ncorrupt_rate 1\nstraggler 1\ncorrupt 3 1 0\n"
+      "link 1 2 0 0 0 1 0 1\nnode 1 0 0 0 1\n");
+  EXPECT_EQ(s.plane.corrupt_rate, 1.0);
+  EXPECT_EQ(s.plane.link_faults.at(0).latency_scale, 1.0);
+}
+
+TEST(FaultScript, EveryGeneratedScriptParses) {
+  ScriptGenConfig cfg;
+  cfg.links = {{10, 0}, {11, 2}, {12, 1}};
+  cfg.nodes = {10, 11, 12};
+  for (const double intensity : {0.1, 0.5, 1.0, 4.0}) {
+    cfg.intensity = intensity;
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+      cfg.seed = seed;
+      const FaultScript s = generate_fault_script(cfg);
+      EXPECT_EQ(FaultScript::parse(s.serialize()), s)
+          << "seed " << seed << " intensity " << intensity;
+    }
+  }
+}
+
 TEST(FaultScript, ParseErrorNamesTheOffendingLine) {
   try {
     FaultScript::parse("faultscript v1\nnode 1 0.1\n");
