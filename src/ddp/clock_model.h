@@ -1,8 +1,8 @@
 // Deterministic round-time model for the DDP trainer.
 //
-// Figures 3/4 plot accuracy against wall-clock time. Measuring live CPU
-// time per cell makes the time axis depend on machine load, so sweep cells
-// become incomparable. Instead the trainer charges:
+// Figures 3/4 plot accuracy against wall-clock time, and Fig. 5 splits a
+// round into its stages. The trainer never times a round live (that would
+// tie the time axis to machine load); it charges:
 //
 //   round = compute_round_s                       (modeled accelerator step)
 //         + encode_cost/coord × coords encoded    (calibrated once/process)

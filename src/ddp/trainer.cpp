@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cmath>
 
 #include "core/codec_registry.h"
@@ -19,12 +18,6 @@
 namespace trimgrad::ddp {
 
 namespace {
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
 struct TrainerTelemetry {
   core::Counter rounds, raw_bytes, wire_bytes, policy_switches;
   core::Gauge compression_ratio, policy_q;
@@ -247,19 +240,13 @@ std::vector<std::vector<float>> DdpTrainer::all_reduce_buckets(
       slice[r].assign(grads[r].begin() + off, grads[r].begin() + off + len);
     }
     auto result = reducer_.run(slice, msg_id++, epoch);
-    if (cfg_.modeled_clock) {
-      // Deterministic codec-time model: per-coordinate costs calibrated
-      // once per process; coords decoded == coords encoded for both
-      // algorithms.
-      const CodecCosts& costs = calibrated_costs(active_codec_.scheme);
-      const auto coords =
-          static_cast<double>(result.stats.coord_stats.total_coords);
-      rb.encode_s += costs.encode_per_coord_s * coords;
-      rb.decode_s += costs.decode_per_coord_s * coords;
-    } else {
-      rb.encode_s += result.stats.encode_seconds;
-      rb.decode_s += result.stats.decode_seconds;
-    }
+    // Deterministic codec-time model: per-coordinate costs calibrated once
+    // per process; coords decoded == coords encoded for both algorithms.
+    const CodecCosts& costs = calibrated_costs(active_codec_.scheme);
+    const auto coords =
+        static_cast<double>(result.stats.coord_stats.total_coords);
+    rb.encode_s += costs.encode_per_coord_s * coords;
+    rb.decode_s += costs.decode_per_coord_s * coords;
     rb.comm_s += result.stats.comm_time;
     rec.trimmed_packets += result.stats.trimmed_packets;
     rec.dropped_packets += result.stats.dropped_packets;
@@ -296,7 +283,6 @@ EpochRecord DdpTrainer::run_epoch(std::size_t epoch) {
         static_cast<std::uint64_t>(epoch) * n_batches + b;
     std::vector<std::vector<float>> grads(world);
     std::vector<double> rank_loss(world, 0.0);
-    std::vector<double> rank_compute(world, 0.0);
 
     // Control plane: decide this round's codec from last round's feedback
     // before anything is encoded (the EF round-trip uses the same codec).
@@ -339,9 +325,9 @@ EpochRecord DdpTrainer::run_epoch(std::size_t epoch) {
 
     // The W replicas' forward/backward are independent, so run them on the
     // pool — this is where DDP's "workers compute in parallel" becomes
-    // literal. Every result lands in a per-rank slot; losses and the max
-    // over compute times are then reduced in rank order afterwards, so the
-    // round is bit-exact for any thread count.
+    // literal. Every result lands in a per-rank slot; losses are then
+    // reduced in rank order afterwards, so the round is bit-exact for any
+    // thread count.
     const std::size_t n_params = replicas_[0]->param_count();
     core::parallel_for(world, 1, [&](std::size_t r0, std::size_t r1) {
       for (std::size_t r = r0; r < r1; ++r) {
@@ -352,32 +338,20 @@ EpochRecord DdpTrainer::run_epoch(std::size_t epoch) {
           grads[r].assign(n_params, 0.0f);
           continue;
         }
-        const auto t0 = Clock::now();
         replicas_[r]->zero_grads();
         const ml::Tensor logits = replicas_[r]->forward(inputs[r]);
         const auto lr = ml::softmax_cross_entropy(logits, labels[r]);
         replicas_[r]->backward(lr.grad);
-        rank_compute[r] = seconds_since(t0);
         rank_loss[r] = lr.loss / loss_div;
         grads[r] = replicas_[r]->flat_grads();
       }
     });
-    double worst_compute = 0;
     double round_loss = 0;
-    for (std::size_t r = 0; r < world; ++r) {
-      // DDP: workers compute in parallel; the round waits for the slowest —
-      // which is why a single injected straggler stretches the whole round.
-      worst_compute = std::max(
-          worst_compute,
-          rank_compute[r] * straggle.compute_scale(
-                                epoch, static_cast<int>(r), cfg_.world));
-      round_loss += rank_loss[r];
-    }
-    rb.compute_s = cfg_.modeled_clock
-                       ? cfg_.compute_round_s *
-                             (rec.straggler_rank >= 0 ? cfg_.straggler_factor
-                                                      : 1.0)
-                       : worst_compute;
+    for (std::size_t r = 0; r < world; ++r) round_loss += rank_loss[r];
+    // DDP: workers compute in parallel; the round waits for the slowest —
+    // which is why a single injected straggler stretches the whole round.
+    rb.compute_s = cfg_.compute_round_s *
+                   (rec.straggler_rank >= 0 ? cfg_.straggler_factor : 1.0);
 
     apply_error_feedback(grads, live_mask,
                          epoch, static_cast<std::uint32_t>(global_round));
@@ -407,8 +381,8 @@ EpochRecord DdpTrainer::run_epoch(std::size_t epoch) {
 
     // Per-round telemetry on the trainer's own simulated clock: the four
     // stages chain back-to-back from the round's start, matching how
-    // sim_time_s_ advances. (With modeled_clock these durations — and so
-    // the trace — are fully deterministic.)
+    // sim_time_s_ advances. The durations are modeled, so the trace is
+    // fully deterministic.
     const std::uint64_t round_raw =
         static_cast<std::uint64_t>(world) * grads[0].size() * sizeof(float);
     const TrainerTelemetry& tel = TrainerTelemetry::get();

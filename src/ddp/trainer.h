@@ -6,22 +6,23 @@
 // buckets the paper hooks, §3.2) go through a trimmable-codec all-reduce
 // over the configured Channel. The simulated wall clock for a round is
 //
-//   round = max_w(compute_w) + encode + comm + decode
+//   round = compute + encode + comm + decode
 //
-// where compute is measured CPU time for forward+backward, encode/decode
-// are measured codec time (the paper's Fig. 5 "encoding overhead"), and
-// comm is the channel's simulated transfer time (trim/drop penalties for
-// the reliable baseline included). Per-epoch records give accuracy vs
-// simulated time — exactly the axes of Figures 3 and 4.
+// where compute is the modeled accelerator step (`compute_round_s`, scaled
+// for an injected straggler), encode/decode charge calibrated
+// per-coordinate costs for every coordinate coded (the paper's Fig. 5
+// "encoding overhead"; see ddp/clock_model.h), and comm is the channel's simulated transfer time
+// (trim/drop penalties for the reliable baseline included). Per-epoch
+// records give accuracy vs simulated time — exactly the axes of Figures 3
+// and 4.
 //
 // The W replicas' forward/backward passes run concurrently on the global
 // ThreadPool (see core/threadpool.h): batches are assembled sequentially
 // first (one augmentation RNG stream, consumed in rank order, identical to
 // the fully sequential trainer), then each rank's compute runs on the pool
-// into per-rank slots, with loss/compute-time reductions in rank order
-// afterwards — so one round produces bit-identical losses, gradients, and
-// updated weights for any thread count. The simulated clock model (max
-// over per-rank compute, then encode + comm + decode) is unchanged.
+// into per-rank slots, with the loss reduction in rank order afterwards —
+// so one round produces bit-identical losses, gradients, and updated
+// weights for any thread count.
 #pragma once
 
 #include <cstdint>
@@ -57,12 +58,8 @@ struct TrainerConfig {
   std::size_t bucket_floats = 0;
   std::uint64_t shuffle_seed = 99;
   std::uint64_t augment_seed = 17;
-  /// Deterministic clock (see ddp/clock_model.h): charge a fixed modeled
-  /// accelerator time per round plus calibrated per-coordinate codec costs,
-  /// instead of live CPU measurements that vary with machine load. Set
-  /// false to measure everything live (Fig. 5 part 1 does both).
-  bool modeled_clock = true;
-  double compute_round_s = 10e-3;  ///< modeled fwd+bwd time per round
+  /// Modeled fwd+bwd time per round (see ddp/clock_model.h).
+  double compute_round_s = 10e-3;
   std::size_t eval_every = 1;  ///< epochs between test-set evaluations
   std::size_t eval_batch = 256;
   /// Straggler injection (net::StragglerSchedule): when > 1, one

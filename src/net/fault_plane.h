@@ -197,10 +197,6 @@ struct StragglerSchedule {
                             static_cast<std::uint64_t>(world));
   }
   bool enabled() const noexcept { return factor > 1.0; }
-  double compute_scale(std::uint64_t epoch, int rank,
-                       int world) const noexcept {
-    return enabled() && rank == straggler_rank(epoch, world) ? factor : 1.0;
-  }
 };
 
 }  // namespace trimgrad::net
