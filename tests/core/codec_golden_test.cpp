@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -149,6 +150,10 @@ std::string case_name(const GoldenCase& c) {
   return std::string(c.codec) + "_n" + std::to_string(c.coords) + "_row" +
          std::to_string(c.row_len) + "_q" + std::to_string(c.q_bits);
 }
+
+// GoogleTest prints a parameter into every case's listed name; without this
+// it dumps the struct's bytes, starting with the registry pointer `codec`.
+void PrintTo(const GoldenCase& c, std::ostream* os) { *os << case_name(c); }
 
 struct Hashes {
   std::uint64_t wire;    ///< packets + metadata
